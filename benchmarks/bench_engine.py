@@ -2,13 +2,16 @@
 
 The workload is the increasing-edges family: uniform random multigraphs over
 an 8-letter alphabet with a fixed node count and a doubling edge count, probed
-by single-source ``reachable_by_rpq``.  The naive path (``use_index=False``,
-the seed code kept as the differential oracle) re-parses and re-compiles the
+by single-source reachability.  The naive path (``tests/oracles.py``, the
+seed code kept as the differential oracle) re-parses and re-compiles the
 regex on every call and scans every edge of every node during the product BFS;
-the kernel path hits the warm compilation cache and the label index, so it
-touches only the matching label's bucket.  Per size we record median wall
+the kernel path hits the warm compilation cache and the CSR rows, so it
+touches only the matching label's row.  Per size we record median wall
 times, the speedup, and the kernel's EngineStats counters into
 ``BENCH_engine.json`` via the ``engine_records`` fixture.
+
+Run from the repository root with ``python -m pytest`` so that
+``tests.oracles`` is importable.
 """
 
 import os
@@ -19,7 +22,8 @@ import pytest
 
 from repro.engine.stats import EngineStats
 from repro.graph.generators import random_graph
-from repro.rpq.evaluation import evaluate_rpq, reachable_by_rpq
+from repro.rpq.evaluation import reachable_by_rpq
+from tests import oracles
 
 LABELS = tuple("abcdefgh")
 QUERY = "a.(b+c)*.d"
@@ -27,27 +31,14 @@ NUM_NODES = 150
 REPEATS = 5
 SIZES = (800, 1600, 3200)
 
-#: Smoke mode (CI): fewer samples, smaller scale-sweep sizes, and looser
-#: bounds to absorb shared-runner noise.  Full runs gate at < 5% overhead
-#: and >= 3x CSR speedup.
+#: Smoke mode (CI): fewer samples and a looser bound to absorb
+#: shared-runner noise.  Full runs gate at < 5% overhead.
 SMOKE = bool(os.environ.get("REPRO_BENCH_SMOKE"))
 OVERHEAD_SAMPLES = 5 if SMOKE else 9
 OVERHEAD_CALLS = 20 if SMOKE else 60
 OVERHEAD_LIMIT = 0.25 if SMOKE else 0.05
 
-#: CSR scale-factor sweep: (num_nodes, num_edges) pairs with quadrupling
-#: edge counts.  The dict-vs-CSR gap widens with scale (per-step dict/tuple
-#: overhead vs array slicing), so the gate applies at the largest size.
-SCALE_SIZES = (
-    ((50, 400), (100, 1600), (200, 3200))
-    if SMOKE
-    else ((100, 800), (200, 3200), (400, 12800))
-)
-SCALE_REPEATS = 3 if SMOKE else 5
-CSR_GATE = 1.3 if SMOKE else 3.0
-
 _SPEEDUPS: dict[int, float] = {}
-_CSR_SPEEDUPS: dict[tuple, float] = {}
 
 
 def _median_seconds(func) -> float:
@@ -64,16 +55,12 @@ def test_kernel_vs_naive_increasing_edges(engine_records, num_edges):
     graph = random_graph(NUM_NODES, num_edges, labels=LABELS, seed=11)
     source = "v0"
 
-    oracle = reachable_by_rpq(QUERY, graph, source, use_index=False)
-    # Warm the compilation cache and the label index before timing the kernel.
-    assert reachable_by_rpq(QUERY, graph, source, use_index=True) == oracle
+    oracle = oracles.reachable(QUERY, graph, source)
+    # Warm the compilation cache and the CSR snapshot before timing the kernel.
+    assert reachable_by_rpq(QUERY, graph, source) == oracle
 
-    naive_s = _median_seconds(
-        lambda: reachable_by_rpq(QUERY, graph, source, use_index=False)
-    )
-    kernel_s = _median_seconds(
-        lambda: reachable_by_rpq(QUERY, graph, source, use_index=True)
-    )
+    naive_s = _median_seconds(lambda: oracles.reachable(QUERY, graph, source))
+    kernel_s = _median_seconds(lambda: reachable_by_rpq(QUERY, graph, source))
 
     stats = EngineStats()
     assert reachable_by_rpq(QUERY, graph, source, stats=stats) == oracle
@@ -103,78 +90,6 @@ def test_kernel_speedup_at_least_2x(engine_records):
         {"workload": "speedup_gate", "largest_size_speedup": largest}
     )
     assert largest >= 2.0, f"expected >=2x speedup, got {largest:.2f}x"
-
-
-@pytest.mark.parametrize("size", SCALE_SIZES, ids=lambda s: f"{s[0]}x{s[1]}")
-def test_csr_vs_dict_kernel_scale_sweep(engine_records, size):
-    """The flat data plane against the dict kernel, full-relation sweep.
-
-    Both sides run warm (compiled plan, built CSR snapshot / label index)
-    so the measurement isolates the traversal loops: packed-int codes over
-    ``array('i')`` rows and bitmask origins vs tuple pairs over dicts of
-    sets.  Answers are asserted equal before timing — the speedup only
-    counts if the plane is exact.
-    """
-    num_nodes, num_edges = size
-    graph = random_graph(num_nodes, num_edges, labels=LABELS, seed=11)
-    from repro.engine import kernel
-
-    compiled = kernel.compile_query(QUERY, graph)
-    csr_answers = evaluate_rpq(compiled, graph, use_csr=True)
-    dict_answers = evaluate_rpq(compiled, graph, use_csr=False)
-    assert csr_answers == dict_answers
-
-    def med(func):
-        samples = []
-        for _ in range(SCALE_REPEATS):
-            start = time.perf_counter()
-            func()
-            samples.append(time.perf_counter() - start)
-        return statistics.median(samples)
-
-    csr_s = med(lambda: evaluate_rpq(compiled, graph, use_csr=True))
-    dict_s = med(lambda: evaluate_rpq(compiled, graph, use_csr=False))
-    speedup = dict_s / csr_s if csr_s > 0 else float("inf")
-    _CSR_SPEEDUPS[size] = speedup
-
-    stats = EngineStats()
-    assert evaluate_rpq(compiled, graph, use_csr=True, stats=stats) == csr_answers
-    engine_records.append(
-        {
-            "workload": "csr_scale_sweep",
-            "query": QUERY,
-            "num_nodes": num_nodes,
-            "num_edges": num_edges,
-            "answers": len(csr_answers),
-            "repeats": SCALE_REPEATS,
-            "csr_median_s": csr_s,
-            "dict_median_s": dict_s,
-            "speedup": speedup,
-            "smoke": SMOKE,
-            "engine_stats": stats.as_dict(),
-        }
-    )
-
-
-def test_csr_speedup_gate(engine_records):
-    """Acceptance gate: the CSR plane beats the dict kernel >= 3x at the
-    largest full-run size (>= 1.3x under the smoke sizes)."""
-    assert _CSR_SPEEDUPS, "scale sweep must run first"
-    largest_size = max(_CSR_SPEEDUPS, key=lambda s: s[0] * s[1])
-    largest = _CSR_SPEEDUPS[largest_size]
-    engine_records.append(
-        {
-            "workload": "csr_speedup_gate",
-            "largest_size": list(largest_size),
-            "largest_size_speedup": largest,
-            "gate": CSR_GATE,
-            "smoke": SMOKE,
-        }
-    )
-    assert largest >= CSR_GATE, (
-        f"expected >={CSR_GATE}x CSR-over-dict speedup at {largest_size}, "
-        f"got {largest:.2f}x"
-    )
 
 
 def test_tracing_disabled_overhead(engine_records):

@@ -5,18 +5,21 @@ The workload is the ISSUE-2 acceptance scenario: a 500-query synthetic log
 uniform random multigraph, every query evaluated to its full ``[[R]]_G``
 relation.
 
-* **sequential seed path** — one independent evaluation per query with
-  ``use_index=False``: fresh parse + Glushkov + linear-scan per-source BFS,
-  exactly the pre-engine pipeline (``run_query_log_sequential``);
+* **sequential seed path** — one independent evaluation per query by the
+  naive oracle of ``tests/oracles.py``: fresh parse + Glushkov +
+  linear-scan per-source BFS, exactly the pre-engine pipeline
+  (:func:`run_query_log_sequential`);
 * **batch path** — :class:`~repro.engine.batch.BatchExecutor` with the
   default thread pool: structural deduplication, one warm compile per
-  unique expression, one label index, one multi-source sweep per unique
+  unique expression, one CSR snapshot, one multi-source sweep per unique
   query (``run_query_log``).
 
 Both paths must produce identical answer sets; the speedup gate asserts
 the batch path wins by >= 3x at the full scale.  ``REPRO_BENCH_SMOKE=1``
 shrinks the workload for CI (the gate still requires parity and records
 the measured speedup, but only the full-scale run asserts the 3x bar).
+Run from the repository root with ``python -m pytest`` so that
+``tests.oracles`` is importable.
 """
 
 import os
@@ -25,7 +28,8 @@ import time
 
 from repro.graph.generators import random_graph
 from repro.workloads.querylog import generate_query_log
-from repro.workloads.runner import run_query_log, run_query_log_sequential
+from repro.workloads.runner import run_query_log
+from tests import oracles
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
 LABELS = tuple("abcdefgh")
@@ -38,16 +42,27 @@ GATE = 3.0
 _MEASURED: dict[str, float] = {}
 
 
+def run_query_log_sequential(graph, log) -> tuple[list, float]:
+    """The per-query seed path: no sharing between queries whatsoever.
+
+    Each query re-parses, re-runs Glushkov, and BFSes from every source
+    with linear edge scans.  Returns the answer sets and the wall time.
+    """
+    started = time.perf_counter()
+    results = [oracles.evaluate(expression, graph) for _shape, expression in log]
+    return results, time.perf_counter() - started
+
+
 def test_batch_executor_vs_sequential_seed(workload_records):
     graph = random_graph(NUM_NODES, NUM_EDGES, labels=LABELS, seed=11)
     log = generate_query_log(NUM_QUERIES, labels=LABELS, seed=3)
 
-    sequential = run_query_log_sequential(graph, log)
+    sequential_results, sequential_s = run_query_log_sequential(graph, log)
 
     # Warm-up run (builds the index, fills the compile cache), then the
     # timed repeats measure the steady-state batch path.
     warmup = run_query_log(graph, log)
-    assert warmup.results == sequential.results, "batch answers must match seed"
+    assert warmup.results == sequential_results, "batch answers must match seed"
 
     batch_samples = []
     batch = warmup
@@ -55,10 +70,10 @@ def test_batch_executor_vs_sequential_seed(workload_records):
         start = time.perf_counter()
         batch = run_query_log(graph, log)
         batch_samples.append(time.perf_counter() - start)
-    assert batch.results == sequential.results
+    assert batch.results == sequential_results
 
     batch_s = statistics.median(batch_samples)
-    speedup = sequential.wall_seconds / batch_s if batch_s > 0 else float("inf")
+    speedup = sequential_s / batch_s if batch_s > 0 else float("inf")
     _MEASURED["speedup"] = speedup
     workload_records.append(
         {
@@ -69,7 +84,7 @@ def test_batch_executor_vs_sequential_seed(workload_records):
             "num_queries": NUM_QUERIES,
             "num_unique": batch.num_unique,
             "jobs": batch.jobs,
-            "sequential_seed_s": sequential.wall_seconds,
+            "sequential_seed_s": sequential_s,
             "batch_median_s": batch_s,
             "batch_repeats": BATCH_REPEATS,
             "speedup": speedup,
@@ -78,49 +93,6 @@ def test_batch_executor_vs_sequential_seed(workload_records):
             "engine_stats": batch.stats.as_dict() if batch.stats else None,
         }
     )
-
-
-def test_csr_batch_vs_dict_batch(workload_records):
-    """The same batch workload on the two kernel data planes.
-
-    Everything else is held equal — dedup, warm compile cache, thread pool,
-    multi-source sweep — so the ratio isolates the CSR plane's traversal
-    win across a realistic query-log mix (short words dominate, stars in
-    the tail, so the aggregate ratio sits well below the pure-sweep gate of
-    ``bench_engine.py``; the bar here is only that CSR must not lose).
-    """
-    graph = random_graph(NUM_NODES, NUM_EDGES, labels=LABELS, seed=11)
-    log = generate_query_log(NUM_QUERIES, labels=LABELS, seed=3)
-
-    warm_csr = run_query_log(graph, log, use_csr=True)
-    warm_dict = run_query_log(graph, log, use_csr=False)
-    assert warm_csr.results == warm_dict.results, "planes must agree exactly"
-
-    def med(use_csr):
-        samples = []
-        for _ in range(BATCH_REPEATS):
-            start = time.perf_counter()
-            run_query_log(graph, log, use_csr=use_csr)
-            samples.append(time.perf_counter() - start)
-        return statistics.median(samples)
-
-    csr_s = med(True)
-    dict_s = med(False)
-    ratio = dict_s / csr_s if csr_s > 0 else float("inf")
-    workload_records.append(
-        {
-            "workload": "querylog_csr_vs_dict_plane",
-            "smoke": SMOKE,
-            "num_queries": NUM_QUERIES,
-            "num_edges": NUM_EDGES,
-            "csr_median_s": csr_s,
-            "dict_median_s": dict_s,
-            "speedup": ratio,
-        }
-    )
-    # Conservative bar: workloads are dominated by tiny queries where both
-    # planes are fast; CSR must at minimum hold parity within noise.
-    assert ratio >= 0.85, f"CSR plane lost to the dict plane: {ratio:.2f}x"
 
 
 def test_batch_speedup_gate(workload_records):

@@ -35,14 +35,11 @@ def _load_graph(spec: str) -> EdgeLabeledGraph:
         return loads(handle.read())
 
 
-def _engine_options(args: argparse.Namespace):
-    """The (use_index, use_csr, stats) triple the engine commands share."""
+def _engine_stats(args: argparse.Namespace):
+    """The EngineStats the ``--stats`` flag asks for, or None."""
     from repro.engine.stats import EngineStats
 
-    use_index = not getattr(args, "no_index", False)
-    use_csr = not getattr(args, "no_csr", False)
-    stats = EngineStats() if getattr(args, "stats", False) else None
-    return use_index, use_csr, stats
+    return EngineStats() if getattr(args, "stats", False) else None
 
 
 def _report_stats(stats) -> None:
@@ -78,11 +75,11 @@ def _cmd_rpq(args: argparse.Namespace) -> int:
 
     graph = _load_graph(args.graph)
     sources = [args.source] if args.source else None
-    use_index, use_csr, stats = _engine_options(args)
+    stats = _engine_stats(args)
     try:
         pairs = evaluate_rpq(
-            args.query, graph, sources=sources, use_index=use_index,
-            use_csr=use_csr, stats=stats, budget=_make_budget(args),
+            args.query, graph, sources=sources, stats=stats,
+            budget=_make_budget(args),
         )
     except BudgetExceeded as exc:
         for source, target in sorted(exc.partial or (), key=repr):
@@ -100,11 +97,10 @@ def _cmd_crpq(args: argparse.Namespace) -> int:
     from repro.engine.limits import BudgetExceeded
 
     graph = _load_graph(args.graph)
-    use_index, use_csr, stats = _engine_options(args)
+    stats = _engine_stats(args)
     try:
         rows = evaluate_crpq(
-            args.query, graph, use_index=use_index, use_csr=use_csr,
-            stats=stats, budget=_make_budget(args),
+            args.query, graph, stats=stats, budget=_make_budget(args)
         )
     except BudgetExceeded as exc:
         for row in sorted(exc.partial or (), key=repr):
@@ -122,17 +118,14 @@ def _cmd_paths(args: argparse.Namespace) -> int:
     from repro.rpq.path_modes import matching_paths
 
     graph = _load_graph(args.graph)
-    # Path enumeration walks paths object-by-object and never enters the
-    # kernel relation loops, so the CSR flag is irrelevant here.
-    use_index, _use_csr, stats = _engine_options(args)
+    stats = _engine_stats(args)
     count = 0
     try:
         # Paths stream out as they are found, so everything printed before
         # a budget trip *is* the partial result.
         for path in matching_paths(
             args.query, graph, args.source, args.target, mode=args.mode,
-            limit=args.limit, use_index=use_index, stats=stats,
-            budget=_make_budget(args),
+            limit=args.limit, stats=stats, budget=_make_budget(args),
         ):
             print(" -> ".join(str(obj) for obj in path.objects))
             count += 1
@@ -263,31 +256,12 @@ def _profile_via_shards(args: argparse.Namespace) -> int:
     return 0
 
 
-def _first_result_mismatch(log, expected, actual) -> str:
-    """Describe the first query whose batch answers differ from the seed."""
-    from repro.engine.kernel import query_text
-
-    for position, (want, got) in enumerate(zip(expected, actual)):
-        if want == got:
-            continue
-        entry = log[position]
-        expression = entry[1] if isinstance(entry, tuple) else entry
-        differing = sorted(want ^ got, key=repr)[0]
-        side = "missing from batch" if differing in want else "extra in batch"
-        return (
-            f"query #{position} {query_text(expression)!r}: "
-            f"first differing answer {differing!r} ({side}; "
-            f"seed={len(want)} answers, batch={len(got)})"
-        )
-    return "result lists differ in length"
-
-
 def _cmd_workload_run(args: argparse.Namespace) -> int:
     import json
 
     from repro.engine.stats import EngineStats
     from repro.workloads.querylog import generate_query_log
-    from repro.workloads.runner import run_query_log, run_query_log_sequential
+    from repro.workloads.runner import run_query_log
 
     if args.graph == "random":
         from repro.graph.generators import random_graph
@@ -326,7 +300,6 @@ def _cmd_workload_run(args: argparse.Namespace) -> int:
                 log,
                 jobs=args.jobs,
                 fork=args.fork,
-                multi_source=not args.per_source,
                 slow_log=args.slow_log,
                 stats=stats,
                 budget=_make_budget(args),
@@ -370,19 +343,6 @@ def _cmd_workload_run(args: argparse.Namespace) -> int:
         print(json.dumps(digest, indent=2, sort_keys=True))
         print("# interrupted: partial telemetry flushed", file=sys.stderr)
         return 130
-    if args.baseline:
-        baseline = run_query_log_sequential(graph, log)
-        if baseline.results != report.results:
-            detail = _first_result_mismatch(log, baseline.results, report.results)
-            print(
-                f"BASELINE MISMATCH: batch answers differ — {detail}",
-                file=sys.stderr,
-            )
-            return 1
-        digest["baseline_wall_seconds"] = round(baseline.wall_seconds, 6)
-        digest["speedup_vs_seed"] = round(
-            baseline.wall_seconds / max(report.wall_seconds, 1e-9), 2
-        )
     print(json.dumps(digest, indent=2, sort_keys=True))
     if args.stats:
         print(report.stats.render(), file=sys.stderr)
@@ -857,18 +817,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="print engine counters/timers (cache hits, nodes expanded, "
             "phase times) to stderr after the results",
         )
-        subparser.add_argument(
-            "--no-index",
-            action="store_true",
-            help="bypass the label index and compilation cache (the naive "
-            "seed evaluator; the differential-testing oracle)",
-        )
-        subparser.add_argument(
-            "--no-csr",
-            action="store_true",
-            help="run the kernel on the dict data plane instead of the flat "
-            "int-encoded CSR rows (the CSR differential-testing oracle)",
-        )
 
     def add_budget_flags(subparser: argparse.ArgumentParser) -> None:
         subparser.add_argument(
@@ -1027,17 +975,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--fork",
         action="store_true",
         help="use a process pool instead of threads",
-    )
-    wrun.add_argument(
-        "--per-source",
-        action="store_true",
-        help="disable the multi-source sweep (per-source BFS oracle)",
-    )
-    wrun.add_argument(
-        "--baseline",
-        action="store_true",
-        help="also run the sequential seed path, verify identical answers, "
-        "and report the speedup",
     )
     wrun.add_argument(
         "--stats",

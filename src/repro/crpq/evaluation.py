@@ -22,7 +22,7 @@ from __future__ import annotations
 from itertools import islice
 
 from repro.crpq.ast import CRPQ, RPQAtom, Var
-from repro.crpq.planning import explain_steps, greedy_plan, make_plan
+from repro.crpq.planning import explain_steps, make_plan
 from repro.engine.index import get_reversed
 from repro.engine.limits import BudgetExceeded
 from repro.engine.tracing import get_tracer
@@ -34,23 +34,13 @@ from repro.rpq.evaluation import compile_for_graph, evaluate_rpq, reachable_by_r
 class _AtomAccess:
     """Memoized access paths for one evaluation run.
 
-    With ``use_index=True`` compilation additionally goes through the
-    engine's process-wide LRU cache (keyed on the *alphabet*, so a graph
-    mutated between runs never resurrects a stale wildcard automaton) and
-    reachability runs on the label index.
+    Compilation goes through the engine's process-wide LRU cache (keyed on
+    the *alphabet*, so a graph mutated between runs never resurrects a
+    stale wildcard automaton) and reachability runs on the kernel.
     """
 
-    def __init__(
-        self,
-        graph: EdgeLabeledGraph,
-        use_index: bool = True,
-        stats=None,
-        budget=None,
-        use_csr: bool = True,
-    ):
+    def __init__(self, graph: EdgeLabeledGraph, stats=None, budget=None):
         self.graph = graph
-        self.use_index = use_index
-        self.use_csr = use_csr
         self.stats = stats
         # Atom relations are *intermediate* results: they share the query's
         # deadline/cancellation but are exempt from its answer-row ceiling.
@@ -67,9 +57,7 @@ class _AtomAccess:
         # resurrect a stale automaton compiled over a different alphabet.
         key = (regex, direction, graph.version)
         if key not in self._nfa_cache:
-            self._nfa_cache[key] = compile_for_graph(
-                regex, graph, cached=self.use_index, stats=self.stats
-            )
+            self._nfa_cache[key] = compile_for_graph(regex, graph, stats=self.stats)
         return self._nfa_cache[key]
 
     def forward(self, regex, source: ObjectId) -> set[ObjectId]:
@@ -79,8 +67,6 @@ class _AtomAccess:
                 self._nfa(regex, self.graph, "forward"),
                 self.graph,
                 source,
-                use_index=self.use_index,
-                use_csr=self.use_csr,
                 stats=self.stats,
                 budget=self.budget,
             )
@@ -90,32 +76,25 @@ class _AtomAccess:
         key = (regex, target)
         if key not in self._backward:
             if self.reversed_graph is None:
-                # Indexed runs share one reversed copy per graph version
-                # across every evaluation (and every batch worker); the
-                # naive oracle keeps the seed's build-per-run behaviour.
-                if self.use_index:
-                    self.reversed_graph = get_reversed(self.graph, self.stats)
-                else:
-                    self.reversed_graph = self.graph.reversed_copy()
+                # One reversed copy per graph version, shared across every
+                # evaluation (and every batch worker).
+                self.reversed_graph = get_reversed(self.graph, self.stats)
             reversed_regex = regex_reverse(regex)
             self._backward[key] = reachable_by_rpq(
                 self._nfa(reversed_regex, self.reversed_graph, "backward"),
                 self.reversed_graph,
                 target,
-                use_index=self.use_index,
-                use_csr=self.use_csr,
                 stats=self.stats,
                 budget=self.budget,
             )
         return self._backward[key]
 
     def full(self, regex) -> set[tuple[ObjectId, ObjectId]]:
-        # The unbound-atom hot path: with use_index=True this is the
-        # kernel's one-sweep multi-source evaluation of ``[[R]]_G``.
+        # The unbound-atom hot path: the kernel's one-sweep multi-source
+        # evaluation of ``[[R]]_G``.
         if regex not in self._full:
             self._full[regex] = evaluate_rpq(
-                regex, self.graph, use_index=self.use_index,
-                use_csr=self.use_csr, stats=self.stats, budget=self.budget,
+                regex, self.graph, stats=self.stats, budget=self.budget
             )
         return self._full[regex]
 
@@ -146,8 +125,6 @@ def evaluate_crpq_bindings(
     graph: EdgeLabeledGraph,
     plan: "list[RPQAtom] | None" = None,
     *,
-    use_index: bool = True,
-    use_csr: bool = True,
     planner: "str | None" = None,
     stats=None,
     budget=None,
@@ -163,9 +140,8 @@ def evaluate_crpq_bindings(
     (shard-local scatter) versus unbound (broadcast sweep).
 
     ``planner`` selects the atom ordering: ``"cost"`` (the engine's
-    cardinality-model planner, default on indexed runs) or ``"greedy"``
-    (the seed planner, default for the ``use_index=False`` oracle).  An
-    explicit ``plan`` overrides both.
+    cardinality-model planner, the default) or ``"greedy"`` (the seed
+    planner).  An explicit ``plan`` overrides both.
 
     A ``budget`` bounds the whole join: atom reachability calls run under
     ``budget.subquery()`` and the join loop itself ticks per extension.  On
@@ -185,12 +161,8 @@ def evaluate_crpq_bindings(
         with tracer.span("crpq.plan", planner=planner or "default"):
             if plan is not None:
                 ordered = plan
-            elif planner is not None:
-                ordered = make_plan(query, graph, planner, stats=stats)
-            elif use_index:
-                ordered = make_plan(query, graph, "cost", stats=stats)
             else:
-                ordered = greedy_plan(query, graph)
+                ordered = make_plan(query, graph, planner or "cost", stats=stats)
             # When tracing, price the chosen order up front so every
             # per-atom span carries its estimate next to the actual
             # cardinality it produced.
@@ -202,10 +174,7 @@ def evaluate_crpq_bindings(
         if query_span is not None:
             query_span.set(atoms=len(ordered))
         if access is None:
-            access = _AtomAccess(
-                graph, use_index=use_index, stats=stats, budget=budget,
-                use_csr=use_csr,
-            )
+            access = _AtomAccess(graph, stats=stats, budget=budget)
         bindings: list[dict] = [{}]
         try:
             for position, atom in enumerate(ordered):
@@ -287,8 +256,6 @@ def evaluate_crpq(
     graph: EdgeLabeledGraph,
     plan: "list[RPQAtom] | None" = None,
     *,
-    use_index: bool = True,
-    use_csr: bool = True,
     planner: "str | None" = None,
     stats=None,
     budget=None,
@@ -312,8 +279,8 @@ def evaluate_crpq(
     results: set[tuple] = set()
     try:
         for binding in evaluate_crpq_bindings(
-            query, graph, plan=plan, use_index=use_index, use_csr=use_csr,
-            planner=planner, stats=stats, budget=budget, access=access,
+            query, graph, plan=plan, planner=planner, stats=stats,
+            budget=budget, access=access,
         ):
             results.add(tuple(binding[var] for var in query.head))
             if budget is not None:

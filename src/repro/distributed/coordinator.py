@@ -76,12 +76,13 @@ from repro.engine.partition import (
 from repro.engine.stats import EngineStats
 from repro.engine.tracing import get_tracer
 from repro.distributed.frontier import (
-    automaton_plan,
     encode_mask,
     encode_pairs,
     decode_pairs,
-    node_order,
 )
+from repro.engine.cache import DEFAULT_CACHE
+from repro.engine.intern import Interner
+from repro.engine.kernel import decode_answer_masks
 from repro.errors import ReproError
 from repro.graph.edge_labeled import EdgeLabeledGraph
 from repro.regex.ast import symbols, to_string
@@ -325,7 +326,7 @@ class _GraphEntry:
     """Coordinator-side state for one distributed graph."""
 
     __slots__ = (
-        "name", "graph", "shard_map", "order", "order_index", "owned_hex",
+        "name", "graph", "shard_map", "interner", "owned_hex",
         "labels", "replicas", "token",
     )
 
@@ -334,8 +335,8 @@ class _GraphEntry:
         self.token = token
         self.graph: "EdgeLabeledGraph | None" = None
         self.shard_map: "ShardMap | None" = None
-        self.order: list = []
-        self.order_index: dict = {}
+        #: the node numbering shared with every shard (node ints, origin bits)
+        self.interner: "Interner | None" = None
         self.owned_hex: list[str] = []
         self.labels: frozenset = frozenset()
         self.replicas: tuple[int, ...] = ()
@@ -532,12 +533,9 @@ class ShardCoordinator:
                 client.upload_graph(name, part)
         entry = self._register(name, graph)
         entry.shard_map = shard_map
-        entry.order = node_order(graph)
-        entry.order_index = {
-            node: position for position, node in enumerate(entry.order)
-        }
+        entry.interner = Interner(graph)
         entry.owned_hex = [
-            encode_mask(shard_map.owned_mask(shard, entry.order))
+            encode_mask(shard_map.owned_mask(shard, entry.interner.nodes))
             for shard in range(self.num_shards)
         ]
         return {
@@ -898,20 +896,21 @@ class ShardCoordinator:
         # plus the query's own symbols (a symbol absent from the graph still
         # shapes the trimmed automaton identically everywhere).
         alphabet = sorted(entry.labels | symbols(_parse(query)), key=repr)
-        plan = automaton_plan(query, alphabet, stats=stats)
+        compiled = DEFAULT_CACHE.compile(query, frozenset(alphabet), stats=stats)
+        interner = entry.interner
+        plan = compiled.int_plan(interner)
         bits = plan.state_bits
-        order = entry.order
-        order_index = entry.order_index
+        order = interner.nodes
         shard_of = entry.shard_map.shard_of
 
         # Seed: (source, q0) codes, one origin bit per source, owner-routed.
         known: dict[int, int] = {}
         pending: list[dict[int, int]] = [{} for _ in range(self.num_shards)]
         seed_nodes = order if sources is None else [
-            source for source in sources if source in order_index
+            source for source in sources if interner.node_id(source) is not None
         ]
         for source in seed_nodes:
-            position = order_index[source]
+            position = interner.node_id(source)
             bit = 1 << position
             owner = shard_of(source)
             shard_pending = pending[owner]
@@ -920,7 +919,7 @@ class ShardCoordinator:
                 shard_pending[code] = shard_pending.get(code, 0) | bit
                 known[code] = known.get(code, 0) | bit
 
-        answer_masks: dict[int, int] = {}
+        answer_masks = [0] * len(order)
         pair_count = 0
         # Coordinator-side merge work runs under a fork of the caller's
         # budget: same deadline and cancellation, fresh counters for this
@@ -999,7 +998,7 @@ class ShardCoordinator:
                             ).items():
                                 if tick is not None:
                                     tick()
-                                recorded = answer_masks.get(position, 0)
+                                recorded = answer_masks[position]
                                 novel = mask & ~recorded
                                 if novel:
                                     answer_masks[position] = recorded | novel
@@ -1028,7 +1027,7 @@ class ShardCoordinator:
                             time.perf_counter() - round_started,
                         )
         except BudgetExceeded as exc:
-            raise exc.attach_partial(_decode_answers(answer_masks, order))
+            raise exc.attach_partial(decode_answer_masks(answer_masks, order))
         finally:
             self.rounds_total += rounds
             if self.metrics is not None:
@@ -1037,7 +1036,7 @@ class ShardCoordinator:
                     "coordinator_query_seconds",
                     time.perf_counter() - query_started,
                 )
-        return _decode_answers(answer_masks, order)
+        return decode_answer_masks(answer_masks, order)
 
     def _graft_shard_trees(
         self, round_span, result, shard, round_number,
@@ -1305,18 +1304,4 @@ class DistributedAtomAccess:
 
 
 def _parse(query: str):
-    from repro.engine.cache import DEFAULT_CACHE
-
     return DEFAULT_CACHE.parse(query)
-
-
-def _decode_answers(answer_masks: dict, order: list) -> set[tuple]:
-    """Unpack origin masks into (source, target) node pairs."""
-    pairs: set[tuple] = set()
-    for target_position, mask in answer_masks.items():
-        target = order[target_position]
-        while mask:
-            low = mask & -mask
-            pairs.add((order[low.bit_length() - 1], target))
-            mask ^= low
-    return pairs

@@ -2,94 +2,42 @@
 
 The distributed RPQ evaluation (DESIGN.md §11) is the kernel's
 origin-tracking sweep cut along shard boundaries.  A product pair
-``(node, state)`` is a **packed int code** ``(order_index << state_bits) |
-state_int`` over two *shared* orderings every process derives
-independently:
+``(node, state)`` travels as the kernel's own **packed int code**
+``(node_int << state_bits) | state_int``, over two numberings every process
+derives independently:
 
-* the **node order**: graph nodes sorted by ``repr`` — the same order
-  :mod:`repro.graph.serialize` writes, identical in the coordinator and in
-  every shard because each shard subgraph holds the full node set;
-* the **state order**: the trimmed Glushkov NFA's states sorted by
-  ``repr`` (the :class:`~repro.engine.cache.IntPlan` numbering).  The
-  automaton itself is a pure function of (regex text, alphabet), so the
-  coordinator ships the *global* alphabet in every request — a shard
-  compiling over only its local labels would trim differently and
-  misnumber states.
+* the **node numbering** of the :class:`~repro.engine.intern.Interner`:
+  nodes sorted by ``repr``, identical in the coordinator and in every shard
+  because each shard subgraph holds the full node set;
+* the **state numbering** of the :class:`~repro.engine.cache.IntPlan`: the
+  trimmed Glushkov NFA's states sorted by ``repr``.  The automaton itself
+  is a pure function of (regex text, alphabet), so the coordinator ships
+  the *global* alphabet in every request — a shard compiling over only its
+  local labels would trim differently and misnumber states.
 
 A **frontier** maps codes to **origin bitmasks** (bit ``i`` = "reachable
-from the ``i``-th node in the shared order"), exactly the kernel's
-multi-source sweep state.  On the wire, a frontier is the sorted code list
-delta-encoded (small ints, cheap JSON) plus a parallel list of hex masks.
+from node int ``i``"), exactly the kernel sweep's state.  On the wire, a
+frontier is the sorted code list delta-encoded (small ints, cheap JSON)
+plus a parallel list of hex masks.
 
 :func:`local_frontier_step` is what the ``frontier_step`` protocol op runs
-on a shard: advance the received frontier to a *local* fixpoint over the
-edges this shard owns, record answers for owned final-state pairs, and
-return the cross-shard pairs (codes whose node another shard owns) for the
-coordinator to route.
+on a shard: it validates the request and hands the frontier to the
+kernel's sweep (:func:`repro.engine.kernel._csr_sweep`) with this shard's
+ownership, which advances it to a *local* fixpoint, records answers for
+final-state pairs, and returns the cross-shard pairs (codes whose node
+another shard owns) for the coordinator to route.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import NamedTuple
-
-from repro.engine.cache import DEFAULT_CACHE, CompiledQuery
+from repro.engine import kernel
+from repro.engine.cache import DEFAULT_CACHE
+from repro.engine.csr import get_csr
 from repro.engine.faults import fault_point
-from repro.engine.index import get_index
-from repro.graph.edge_labeled import EdgeLabeledGraph, ObjectId
+from repro.graph.edge_labeled import EdgeLabeledGraph
 
-
-def node_order(graph: EdgeLabeledGraph) -> list[ObjectId]:
-    """The shared node numbering: nodes sorted by ``repr``.
-
-    Deterministic across processes (unlike ``iter_nodes`` order or interner
-    ids) as long as node ids repr identically — which JSON-native ids, the
-    only ones that survive the protocol, do.
-    """
-    return sorted(graph.iter_nodes(), key=repr)
-
-
-class AutomatonPlan(NamedTuple):
-    """A compiled query plus the shared int numbering of its states."""
-
-    compiled: CompiledQuery
-    state_ids: dict
-    state_bits: int
-    initial: tuple[int, ...]
-    finals: frozenset[int]
-    #: state int -> tuple of (symbol, (next state ints, ...)) rows
-    delta: tuple
-
-
-def automaton_plan(query: str, alphabet, stats=None) -> AutomatonPlan:
-    """Compile ``query`` over exactly ``alphabet`` with shared numbering.
-
-    Every participant (coordinator and all shards) calls this with the same
-    query text and the same alphabet, so the resulting state ints agree
-    bit-for-bit; ``state_bits`` travels in each request as a cheap
-    divergence check.
-    """
-    sigma = frozenset(alphabet)
-    compiled = DEFAULT_CACHE.compile(query, sigma, stats=stats)
-    states = sorted(compiled.nfa.states, key=repr)
-    state_ids = {state: index for index, state in enumerate(states)}
-    state_bits = (len(states) - 1).bit_length() if states else 0
-    delta = []
-    for state in states:
-        rows = [
-            (symbol, tuple(state_ids[s] for s in successors))
-            for symbol, successors in compiled.delta.get(state, {}).items()
-        ]
-        rows.sort(key=lambda row: repr(row[0]))
-        delta.append(tuple(rows))
-    return AutomatonPlan(
-        compiled=compiled,
-        state_ids=state_ids,
-        state_bits=state_bits,
-        initial=tuple(sorted(state_ids[s] for s in compiled.initial)),
-        finals=frozenset(state_ids[s] for s in compiled.finals),
-        delta=tuple(delta),
-    )
+#: ``bytes.translate`` table turning a string of '0'/'1' into 0/1 bytes.
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
 
 # ----------------------------------------------------------------------
@@ -147,6 +95,13 @@ def decode_mask(text) -> int:
 # ----------------------------------------------------------------------
 # the shard-side step
 # ----------------------------------------------------------------------
+def ownership(owned_mask: int, num_nodes: int) -> bytearray:
+    """The wire ownership mask as one byte per node int (bits past
+    ``num_nodes`` are ignored)."""
+    bits = format(owned_mask, "b")[::-1][:num_nodes].ljust(num_nodes, "0")
+    return bytearray(bits.encode("ascii").translate(_BIT_BYTES))
+
+
 def local_frontier_step(
     graph: EdgeLabeledGraph,
     query: str,
@@ -163,86 +118,55 @@ def local_frontier_step(
     ``frontier`` maps packed codes (owned by this shard) to the origin
     masks the coordinator found *novel*; expansion stays within the owned
     node set — a successor owned elsewhere is accumulated as a cross pair
-    instead of being queued.  Returns ``answers`` (node order index ->
-    origin mask for final-state pairs), ``cross`` (code -> novel origin
-    mask for other shards), and expansion counters.
+    instead of being queued.  Returns ``answers`` (node int -> origin mask
+    for final-state pairs), ``cross`` (code -> novel origin mask for other
+    shards), and expansion counters.
 
     Raises ValueError when ``state_bits`` disagrees with the automaton this
     shard compiles — the divergence tripwire for a coordinator and shard
-    that somehow built different automata.
+    that somehow built different automata — or when a frontier code names
+    a node or state outside this graph and automaton.
     """
     fault_point("shard.frontier_step")
-    plan = automaton_plan(query, alphabet, stats=stats)
+    compiled = DEFAULT_CACHE.compile(query, frozenset(alphabet), stats=stats)
+    csr = get_csr(graph, stats)
+    plan = compiled.int_plan(csr.interner)
     if plan.state_bits != state_bits:
         raise ValueError(
             f"automaton mismatch: coordinator packed {state_bits} state bits, "
             f"shard compiled {plan.state_bits}"
         )
-    order = node_order(graph)
-    index_of = {node: position for position, node in enumerate(order)}
-    index = get_index(graph, stats)
-    state_mask = (1 << state_bits) - 1
-    finals = plan.finals
-    delta = plan.delta
-    out_edges = index.out_edges
-    tick = budget.tick if budget is not None else None
-
-    #: code -> union of origin bits already seen at that pair this step
-    known = dict(frontier)
-    pending = dict(frontier)
-    queue = deque(pending)
-    answers: dict[int, int] = {}
+    num_nodes = csr.num_nodes
+    for code in frontier:
+        if code >> state_bits >= num_nodes:
+            raise ValueError(
+                f"frontier code {code} names node {code >> state_bits}, "
+                f"but the graph has {num_nodes} nodes"
+            )
+        if code & plan.state_mask >= plan.num_states:
+            raise ValueError(
+                f"frontier code {code} names state {code & plan.state_mask}, "
+                f"but the automaton has {plan.num_states} states"
+            )
+    answer_masks = [0] * num_nodes
     cross: dict[int, int] = {}
-    expanded = 0
-    relaxed = 0
-    bounced = 0
-    while queue:
-        code = queue.popleft()
-        fresh = pending.pop(code, 0)
-        if not fresh:
-            continue
-        if tick is not None:
-            tick()
-        expanded += 1
-        node_idx = code >> state_bits
-        state = code & state_mask
-        if state in finals:
-            recorded = answers.get(node_idx, 0)
-            if fresh & ~recorded:
-                answers[node_idx] = recorded | fresh
-        if not (owned_mask >> node_idx) & 1:
-            # A mis-routed seed: never expand another shard's node; bounce
-            # it back as a cross pair and let the coordinator re-route.
-            cross[code] = cross.get(code, 0) | fresh
-            bounced += 1
-            continue
-        node = order[node_idx]
-        for symbol, next_states in delta[state]:
-            for _edge, target in out_edges(node, symbol):
-                relaxed += 1
-                target_idx = index_of[target]
-                base = target_idx << state_bits
-                target_owned = (owned_mask >> target_idx) & 1
-                for next_state in next_states:
-                    successor = base | next_state
-                    seen = known.get(successor, 0)
-                    novel = fresh & ~seen
-                    if not novel:
-                        continue
-                    known[successor] = seen | novel
-                    if target_owned:
-                        queued = pending.get(successor, 0)
-                        pending[successor] = queued | novel
-                        if not queued:
-                            queue.append(successor)
-                    else:
-                        cross[successor] = cross.get(successor, 0) | novel
+    expanded, relaxed, bounced = kernel._csr_sweep(
+        csr,
+        plan,
+        frontier,
+        answer_masks,
+        budget.tick if budget is not None else None,
+        None,
+        ownership(owned_mask, num_nodes),
+        cross,
+    )
     if stats is not None:
         stats.count("frontier_steps")
         stats.count("frontier_expanded", expanded)
         stats.count("frontier_relaxed", relaxed)
         if bounced:
             stats.count("frontier_bounced", bounced)
+    answers = {node: mask for node, mask in enumerate(answer_masks) if mask}
     return {
         "answers": encode_pairs(answers),
         "cross": encode_pairs(cross),

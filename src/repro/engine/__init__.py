@@ -3,24 +3,26 @@
 One optimization layer under every language frontend in the library:
 
 * :mod:`repro.engine.index` — lazy, mutation-invalidated label-indexed
-  adjacency (``label -> (src -> edge ids)``) replacing linear edge scans;
+  adjacency (``label -> (src -> edge ids)``) for the consumers that need
+  edge ids: path enumeration, GQL label scans, reversed graphs;
 * :mod:`repro.engine.intern` / :mod:`repro.engine.csr` — the flat
-  int-encoded data plane: dense node/label interning and label-partitioned
-  CSR adjacency in ``array('i')`` rows, the default substrate of the kernel
-  relation loops (``use_csr=False`` keeps the dict oracle);
+  int-encoded data plane: dense node/label interning (nodes in one
+  ``repr``-sorted numbering shared by every process) and label-partitioned
+  CSR adjacency in ``array('i')`` rows, the substrate of the product BFS;
 * :mod:`repro.engine.cache` — LRU compilation cache keyed on
   ``(regex AST, alphabet)`` so repeated queries skip parsing and Glushkov;
 * :mod:`repro.engine.stats` — ``EngineStats`` counters/timers threaded
   through the evaluators and surfaced via the CLI's ``--stats``;
-* :mod:`repro.engine.kernel` — the cached-compile + indexed-product-BFS
-  entry points the frontends delegate to, including the one-sweep
-  multi-source evaluation of a full ``[[R]]_G`` relation;
+* :mod:`repro.engine.kernel` — the one production product BFS: a
+  single-source bitset BFS and a multi-source origin-mask sweep, chosen by
+  the number of sources; the sweep is also the shard step of distributed
+  evaluation;
 * :mod:`repro.engine.cardinality` — per-label statistics plus
   first/last-label automaton selectivity, feeding the cost-based CRPQ
   planner;
 * :mod:`repro.engine.batch` — the workload driver: deduplicate
-  structurally-equal queries, pre-warm the cache, share the index, fan out
-  over a thread or process pool;
+  structurally-equal queries, pre-warm the cache, share the CSR snapshot,
+  fan out over a thread or process pool;
 * :mod:`repro.engine.tracing` — hierarchical span tracer (thread-local
   current-span stacks, zero-cost no-op singleton when disabled) behind
   ``repro profile`` and workload trace files;
@@ -28,8 +30,8 @@ One optimization layer under every language frontend in the library:
   counter/histogram registry with Prometheus text and JSON exposition;
 * :mod:`repro.engine.explain` — EXPLAIN/PROFILE reports for the CLI.
 
-Every frontend keeps its original naive implementation behind
-``use_index=False``; the differential tests compare the two.
+The seed's naive evaluators, the reference oracle of the differential
+tests, live in ``tests/oracles.py``.
 """
 
 from repro.engine.batch import BatchExecutor, BatchResult, default_jobs
@@ -49,7 +51,6 @@ from repro.engine.intern import Interner, get_interner
 from repro.engine.kernel import (
     compile_query,
     evaluate,
-    evaluate_sweep,
     holds,
     reachable,
 )
@@ -91,7 +92,6 @@ __all__ = [
     "default_cache",
     "default_jobs",
     "evaluate",
-    "evaluate_sweep",
     "get_csr",
     "get_index",
     "get_interner",

@@ -1,7 +1,7 @@
 """Workload-scale batch execution: amortize work *across* queries.
 
-The single-query kernel already amortizes work within one evaluation (label
-index, compile cache, multi-source sweep).  Real deployments — the 150M+
+The single-query kernel already amortizes work within one evaluation (CSR
+snapshot, compile cache, multi-source sweep).  Real deployments — the 150M+
 SPARQL-log study the paper cites in Section 6.2 — evaluate huge batches of
 mostly-similar queries over one graph, and the dominant savings live
 *between* queries:
@@ -12,9 +12,9 @@ mostly-similar queries over one graph, and the dominant savings live
 * **shared compilation** — the unique expressions are pre-compiled through
   the engine's LRU cache before any evaluation starts, so workers never
   touch the (unsynchronized) cache concurrently;
-* **shared index** — queries are grouped per graph and the label index is
-  forced once, up front, instead of being built lazily by whichever worker
-  gets there first;
+* **shared snapshot** — queries are grouped per graph and the CSR snapshot
+  is forced once, up front, instead of being built lazily by whichever
+  worker gets there first;
 * **parallel fan-out** — evaluation of the deduplicated work items runs on
   a ``concurrent.futures`` pool: threads by default (safe everywhere, and
   free on no-GIL builds), or a process pool (``fork=True``) that ships the
@@ -41,7 +41,6 @@ from repro.engine import kernel
 from repro.engine.cache import DEFAULT_CACHE, CompilationCache
 from repro.engine.csr import get_csr
 from repro.engine.faults import FaultError, fault_point
-from repro.engine.index import get_index
 from repro.engine.limits import BudgetExceeded, make_budget
 from repro.engine.metrics import Histogram, MetricsRegistry
 from repro.engine.stats import EngineStats
@@ -199,9 +198,7 @@ def _process_worker_run(payload):
     is set each item runs under a worker-local tracer and its span tree
     travels back as a plain dict.
     """
-    multi_source, trace, limits, items = payload[:4]
-    # Older four-tuple payloads (no use_csr flag) default to the CSR plane.
-    use_csr = payload[4] if len(payload) > 4 else True
+    trace, limits, items = payload
     graph = _WORKER_GRAPH
     stats = EngineStats()
     tracer = Tracer() if trace else None
@@ -234,15 +231,12 @@ def _process_worker_run(payload):
                         source=str(source) if source is not None else None,
                     ) as span:
                         answer = _evaluate_item(
-                            graph, regex, source, stats, multi_source, budget,
-                            use_csr,
+                            graph, regex, source, stats, budget
                         )
                         span.set(answers=len(answer))
                 trace_dict = span.as_dict()
             else:
-                answer = _evaluate_item(
-                    graph, regex, source, stats, multi_source, budget, use_csr
-                )
+                answer = _evaluate_item(graph, regex, source, stats, budget)
         except BudgetExceeded as exc:
             stats.count("batch_budget_exceeded")
             answer = exc.partial
@@ -255,18 +249,12 @@ def _process_worker_run(payload):
     return records, stats.counters, stats.timers
 
 
-def _evaluate_item(
-    graph, regex, source, stats, multi_source, budget=None, use_csr=True
-):
-    compiled = kernel.compile_query(regex, graph, stats=stats)
+def _evaluate_item(graph, query, source, stats, budget=None):
+    """One work item: the full relation, or one source's reachable set."""
+    compiled = kernel.compile_query(query, graph, stats=stats)
     if source is None:
-        return kernel.evaluate(
-            compiled, graph, stats=stats, multi_source=multi_source,
-            budget=budget, use_csr=use_csr,
-        )
-    return kernel.reachable(
-        compiled, graph, source, stats=stats, budget=budget, use_csr=use_csr
-    )
+        return kernel.evaluate(compiled, graph, stats=stats, budget=budget)
+    return kernel.reachable(compiled, graph, source, stats=stats, budget=budget)
 
 
 class BatchExecutor:
@@ -282,12 +270,6 @@ class BatchExecutor:
         once per worker via the pool initializer (node/edge ids must be
         JSON-serializable, as in :mod:`repro.graph.serialize`); workers
         recompile the unique expressions into their own process cache.
-    multi_source:
-        full-relation queries use the kernel's one-sweep multi-source
-        evaluation (default) or the per-source BFS loop (the oracle).
-    use_csr:
-        run the kernel on the flat int-encoded CSR data plane (default) or
-        on the dict oracle (``False`` — the ``--no-csr`` escape hatch).
     cache:
         the compilation cache to pre-warm (default: the engine-wide LRU).
     slow_log:
@@ -300,8 +282,6 @@ class BatchExecutor:
         *,
         jobs: "int | None" = None,
         fork: bool = False,
-        multi_source: bool = True,
-        use_csr: bool = True,
         cache: "CompilationCache | None" = None,
         slow_log: int = 0,
     ):
@@ -311,8 +291,6 @@ class BatchExecutor:
         if slow_log < 0:
             raise ValueError("slow_log must be >= 0")
         self.fork = fork
-        self.multi_source = multi_source
-        self.use_csr = use_csr
         self.cache = cache if cache is not None else DEFAULT_CACHE
         self.slow_log = slow_log
 
@@ -369,14 +347,10 @@ class BatchExecutor:
             )
         phases["compile"] = time.perf_counter() - t0
 
-        # 3. force the adjacency structure exactly once, up front: the CSR
-        #    snapshot (which embeds the interner) on the fast plane, the
-        #    label index on the dict oracle.
+        # 3. force the CSR snapshot (which embeds the interner) exactly
+        #    once, up front.
         t0 = time.perf_counter()
-        if self.use_csr:
-            get_csr(graph, stats)
-        else:
-            get_index(graph, stats)
+        get_csr(graph, stats)
         phases["index"] = time.perf_counter() - t0
 
         # 4. fan evaluation of the unique items out over the pool.  A
@@ -455,8 +429,8 @@ class BatchExecutor:
         """Evaluate ``(graph, query)`` pairs, grouping work per graph.
 
         Queries over the same graph object are batched into one :meth:`run`
-        call — the label index and compiled automata are shared within each
-        group — and results come back in input order.
+        call — the CSR snapshot and compiled automata are shared within
+        each group — and results come back in input order.
         """
         stats = stats if stats is not None else EngineStats()
         ordered = list(items)
@@ -476,15 +450,7 @@ class BatchExecutor:
     # pools
     # ------------------------------------------------------------------
     def _evaluate_one(self, graph, compiled_query, source, stats, budget=None):
-        if source is None:
-            return kernel.evaluate(
-                compiled_query, graph, stats=stats, multi_source=self.multi_source,
-                budget=budget, use_csr=self.use_csr,
-            )
-        return kernel.reachable(
-            compiled_query, graph, source, stats=stats, budget=budget,
-            use_csr=self.use_csr,
-        )
+        return _evaluate_item(graph, compiled_query, source, stats, budget)
 
     def _run_threads(self, graph, unique, compiled, stats, budget=None):
         """Thread-pool fan-out; per-query spans land on the active tracer.
@@ -635,11 +601,7 @@ class BatchExecutor:
         done: set = set()
         pending: set = set()
         try:
-            payloads = [
-                (self.multi_source, trace, limits, chunk, self.use_csr)
-                for chunk in chunks
-                if chunk
-            ]
+            payloads = [(trace, limits, chunk) for chunk in chunks if chunk]
             pending = {pool.submit(_process_worker_run, p) for p in payloads}
             while pending:
                 done, pending = wait(pending, return_when=FIRST_COMPLETED)

@@ -1,9 +1,7 @@
 """Flat int-encoded CSR adjacency, label-partitioned, forward and reversed.
 
-This is the raw-speed data plane under the kernel's product BFS: where the
-dict kernel answers *"edges leaving u with label a"* through two dict
-lookups and a tuple of ``(edge, target)`` pairs, the CSR plane answers it
-with one list index and an ``array('i')`` slice —
+This is the data plane under the kernel's product BFS: it answers *"edges
+leaving u with label a"* with one list index and an ``array('i')`` slice —
 
 ``out_rows[label_int] = (offsets, targets)`` where the targets of node
 ``u`` (as a dense int from :class:`~repro.engine.intern.Interner`) occupy
@@ -20,10 +18,9 @@ Layout notes:
   on the graph (cleared by ``_touch()`` on mutation, double-checked against
   ``graph.version`` so a smuggled stale snapshot is never served).
 
-The module also hosts the bytearray bitset helpers the flat kernel loops
-inline: packed ``(node_int << k) | state_int`` codes index into a bitset of
-``num_nodes << k`` bits, replacing the dict kernel's set-of-tuples visited
-bookkeeping.
+The module also hosts the bytearray bitset helpers the kernel's
+single-source loop inlines: packed ``(node_int << k) | state_int`` codes
+index into a bitset of ``num_nodes << k`` bits, its visited set.
 """
 
 from __future__ import annotations

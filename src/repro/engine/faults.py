@@ -38,7 +38,7 @@ from repro.errors import ReproError
 SITES = frozenset(
     {
         "kernel.evaluate",      # entry of every kernel product BFS / sweep
-        "kernel.step",          # per product-pair expansion (CSR and dict)
+        "kernel.step",          # per product-pair expansion (both kernel loops)
         "cache.compile",        # compilation-cache fill path
         "batch.worker",         # start of each batch pool work item
         "service.execute",      # worker-pool entry of a server request

@@ -1,17 +1,21 @@
 """Node/label interning: hashable object ids -> dense ints, per graph version.
 
-The flat CSR data plane (:mod:`repro.engine.csr`) and the int-space kernel
-loops need every node and every edge label mapped onto ``0..n-1`` so that
+The flat CSR data plane (:mod:`repro.engine.csr`) and the kernel's loops
+need every node and every edge label mapped onto ``0..n-1`` so that
 adjacency can live in ``array('i')`` rows and a product state can be packed
 into a single machine int.  The :class:`Interner` is that mapping, built in
 one pass and frozen:
 
 * **dense** — node ids cover exactly ``0..num_nodes-1`` and label ids
   ``0..num_labels-1`` with no holes (property-tested);
-* **stable per version** — two interners built from the same unmutated
-  graph assign identical ids (iteration order of an unchanged node set is
-  deterministic within a process), so a rebuilt CSR or transition table is
-  bit-identical;
+* **one node numbering everywhere** — nodes are numbered in ``repr``-sorted
+  order, so any two interners over the same node set agree, in any
+  process, as long as node ids ``repr`` identically (JSON-native ids, the
+  only ones that survive the wire, do).  Distributed evaluation relies on
+  it: the coordinator and every shard (each shard holds the full node set)
+  number nodes alike, so node ints and origin bitmasks travel as they are
+  (DESIGN.md §11).  The sort costs about 1 ms per 2000 nodes, once per
+  graph version;
 * **never reused across versions** — the interner records the graph
   ``version`` it saw and carries a process-unique ``uid``; consumers (the
   per-``CompiledQuery`` int transition tables) key on the uid, so a mutated
@@ -49,7 +53,7 @@ class Interner:
     def __init__(self, graph: EdgeLabeledGraph):
         self.version = graph.version
         self.uid = next(_UIDS)
-        self._nodes: list[ObjectId] = list(graph.iter_nodes())
+        self._nodes: list[ObjectId] = sorted(graph.iter_nodes(), key=repr)
         self._node_ids: dict[ObjectId, int] = {
             node: index for index, node in enumerate(self._nodes)
         }

@@ -1,34 +1,40 @@
-"""The shared query-execution kernel: cached compile + indexed product BFS.
+"""The product-BFS kernel: cached compile plus one int-encoded product BFS.
 
 Section 6 of the paper makes the product construction ``G x A`` the common
 core of RPQ, CRPQ and GQL evaluation; Figueira & Lin's complexity analysis
-shows this core dominates evaluation cost.  This module is that core, done
-once, properly:
+shows this core dominates evaluation cost.  This module is the one
+production implementation of that core:
 
 * queries compile through the LRU :mod:`repro.engine.cache` (repeat queries
   skip parsing and Glushkov entirely);
-* the BFS walks the lazily-built label index of :mod:`repro.engine.index`
-  (O(out-degree-by-label) per step instead of O(out-degree));
-* with ``use_csr=True`` (the default) the relation kernels run on the flat
-  int-encoded data plane instead: nodes, labels and automaton states are
-  interned to dense ints (:mod:`repro.engine.intern`), adjacency is
-  label-partitioned CSR rows in ``array('i')`` (:mod:`repro.engine.csr`),
-  the transition table is lowered into the same int space
-  (:class:`~repro.engine.cache.IntPlan`), and the worklists run over packed
-  ``(node_int << k) | state_int`` codes with bytearray-bitset visited sets
-  and int-bitmask origin tracking — pure stdlib, no numpy;
+* each graph version has one flat snapshot (:mod:`repro.engine.csr`): nodes
+  and labels interned to dense ints by the
+  :class:`~repro.engine.intern.Interner` (nodes in ``repr``-sorted order, so
+  every process holding the same node set numbers it identically), and
+  adjacency as label-partitioned CSR rows in ``array('i')``;
+* the automaton is lowered into the same int space
+  (:class:`~repro.engine.cache.IntPlan`, ``repr``-sorted states), so a
+  product pair is one packed code ``(node_int << k) | state_int``;
 * every entry point threads an optional :class:`~repro.engine.stats.EngineStats`
   recording nodes expanded, edges relaxed, cache behaviour and phase times.
 
-The language frontends (``rpq.evaluation``, ``rpq.path_modes``,
-``crpq.evaluation``, ``coregql.semantics``, ``gql.semantics``) all call into
-here when ``use_index=True`` (the default); their original linear-scan
-implementations remain available behind ``use_index=False`` and serve as the
-oracle for the differential tests in ``tests/engine/test_differential.py``.
-``use_csr=False`` is the second escape hatch one layer down: it keeps the
-indexed *dict* kernel (tuple pairs, set-of-origins bookkeeping), which is the
-differential oracle for the CSR plane in ``tests/engine/test_csr.py`` and the
-baseline of the ``bench_engine.py`` scale sweep.
+Two loops walk the product, and the entry points pick one by the number of
+sources they are given:
+
+* :func:`_csr_reachable` — one source: a BFS with a bytearray-bitset
+  visited set and an optional early-exit target.  It serves
+  :func:`reachable`, :func:`holds`, and :func:`evaluate` with exactly one
+  source;
+* :func:`_csr_sweep` — any other number of sources: the origin-tracking
+  sweep, one bitmask of origins per product pair.  It serves
+  :func:`evaluate` and, with a per-node ownership array and a cross-pair
+  output, the shard step of distributed evaluation
+  (:func:`repro.distributed.frontier.local_frontier_step`).
+
+The language frontends (``rpq.evaluation``, ``crpq.evaluation``,
+``coregql.semantics``, ``gql.semantics``) call into here.  The seed's naive
+evaluator, kept as the reference oracle of the differential tests, lives in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -45,9 +51,8 @@ from repro.engine.cache import (
     alphabet_for,
     compile_uncached,
 )
-from repro.engine.csr import get_csr
+from repro.engine.csr import CSRGraph, get_csr
 from repro.engine.faults import FAULTS, fault_point
-from repro.engine.index import get_index
 from repro.engine.limits import BudgetExceeded, QueryBudget
 from repro.engine.stats import EngineStats
 from repro.engine.tracing import get_tracer
@@ -155,24 +160,21 @@ def reachable(
     *,
     stats: "EngineStats | None" = None,
     budget: "QueryBudget | None" = None,
-    use_csr: bool = True,
 ) -> set[ObjectId]:
-    """All nodes ``v`` with ``(source, v)`` in ``[[R]]_G`` — indexed BFS.
+    """All nodes ``v`` with ``(source, v)`` in ``[[R]]_G``.
 
-    One BFS over ``(node, state)`` pairs; successor edges come from the
-    label index (``use_csr=False``) or the flat CSR rows (default), so each
-    automaton transition out of a state inspects only the edges that
-    actually carry its symbol.
+    One BFS over packed ``(node, state)`` codes; each automaton transition
+    out of a state reads only the CSR row of its label.
     """
     tracer = get_tracer()
     if tracer.enabled:
         with tracer.span(
             "kernel.reachable", query=query_text(compiled), source=str(source)
         ) as span:
-            answers = _reachable(compiled, graph, source, stats, budget, use_csr)
+            answers = _reachable(compiled, graph, source, stats, budget)
             span.set(answers=len(answers))
             return answers
-    return _reachable(compiled, graph, source, stats, budget, use_csr)
+    return _reachable(compiled, graph, source, stats, budget)
 
 
 def _reachable(
@@ -181,64 +183,27 @@ def _reachable(
     source: ObjectId,
     stats: "EngineStats | None" = None,
     budget: "QueryBudget | None" = None,
-    use_csr: bool = True,
+    goal: "ObjectId | None" = None,
 ) -> set[ObjectId]:
-    """The uninstrumented BFS body (also the tracing-overhead baseline)."""
+    """The uninstrumented BFS body (also the tracing-overhead baseline).
+
+    With a ``goal`` node it is the body of :func:`holds`: the BFS stops at
+    ``goal`` and no row ceiling applies to its yes/no answer.
+    """
     if not graph.has_node(source):
+        return set()
+    if goal is not None and not graph.has_node(goal):
         return set()
     fault_point("kernel.evaluate")
     tick, check_rows = _budget_hooks(budget)
-    started = time.perf_counter()
-    if use_csr:
-        return _csr_reachable(
-            compiled, graph, source, tick, check_rows, stats, budget, started
-        )
-    index = get_index(graph, stats)
-    delta = compiled.delta
-    finals = compiled.finals
-    fire = FAULTS.fire if FAULTS.enabled else None
-    start = {(source, state) for state in compiled.initial}
-    seen = set(start)
-    queue = deque(start)
-    answers = {node for node, state in start if state in finals}
-    expanded = 0
-    relaxed = 0
-    try:
-        while queue:
-            node, state = queue.popleft()
-            expanded += 1
-            if fire is not None:
-                fire("kernel.step")
-            if tick is not None:
-                tick()
-            by_symbol = delta.get(state)
-            if not by_symbol:
-                continue
-            for symbol, next_states in by_symbol.items():
-                for _edge, target in index.out_edges(node, symbol):
-                    relaxed += 1
-                    for next_state in next_states:
-                        pair = (target, next_state)
-                        if pair not in seen:
-                            seen.add(pair)
-                            queue.append(pair)
-                            if next_state in finals:
-                                answers.add(target)
-                                if check_rows is not None:
-                                    check_rows(len(answers))
-    except BudgetExceeded as exc:
-        if stats is not None:
-            stats.count("nodes_expanded", expanded)
-            stats.count("edges_relaxed", relaxed)
-            stats.count("budget_exceeded")
-            stats.add_time("bfs", time.perf_counter() - started)
-        _raise_with_partial(exc, answers, budget)
-    if stats is not None:
-        stats.count("nodes_expanded", expanded)
-        stats.count("edges_relaxed", relaxed)
-        stats.count("answers", len(answers))
-        stats.add_time("bfs", time.perf_counter() - started)
-    return answers
+    return _csr_reachable(
+        compiled, graph, source, tick, None if goal is not None else check_rows,
+        stats, budget, time.perf_counter(), goal,
+    )
+
+
+class _GoalReached(Exception):
+    """Raised inside :func:`_csr_reachable` to leave all its loops at once."""
 
 
 def _csr_reachable(
@@ -250,18 +215,22 @@ def _csr_reachable(
     stats: "EngineStats | None",
     budget: "QueryBudget | None",
     started: float,
+    goal: "ObjectId | None" = None,
 ) -> set[ObjectId]:
     """Single-source BFS on the flat data plane.
 
     The product state is a packed code ``(node_int << k) | state_int``; the
     visited set is a bytearray bitset over ``num_nodes << k`` bits; answers
-    accumulate as node ints and decode once at the end.  Semantics (seed
-    handling, tick cadence, row accounting, partial attach) mirror the dict
-    body above — the differential tests hold the two to identical answers.
+    accumulate as node ints and decode once at the end.  With a ``goal``
+    node the BFS stops as soon as it reaches ``goal`` in a final state (the
+    answers found so far are returned, ``goal`` among them) and a budget
+    trip carries no partial answer, since the caller's answer is a boolean.
     """
     csr = get_csr(graph, stats)
-    plan = compiled.int_plan(csr.interner)
-    source_int = csr.interner._node_ids[source]
+    interner = csr.interner
+    plan = compiled.int_plan(interner)
+    source_int = interner._node_ids[source]
+    goal_int = -1 if goal is None else interner._node_ids[goal]
     k = plan.state_bits
     state_mask = plan.state_mask
     finals_mask = plan.finals_mask
@@ -280,9 +249,13 @@ def _csr_reachable(
             queue.append(code)
             if (finals_mask >> state) & 1:
                 answer_ints.add(source_int)
+    if goal_int in answer_ints:
+        queue.clear()
     expanded = 0
     relaxed = 0
     try:
+        if check_rows is not None and answer_ints:
+            check_rows(len(answer_ints))
         while queue:
             code = queue.popleft()
             expanded += 1
@@ -312,22 +285,28 @@ def _csr_reachable(
                             queue.append(succ)
                             if (finals_mask >> next_state) & 1:
                                 answer_ints.add(target)
+                                if target == goal_int:
+                                    raise _GoalReached
                                 if check_rows is not None:
                                     check_rows(len(answer_ints))
+    except _GoalReached:
+        pass
     except BudgetExceeded as exc:
         if stats is not None:
             stats.count("nodes_expanded", expanded)
             stats.count("edges_relaxed", relaxed)
             stats.count("budget_exceeded")
             stats.add_time("bfs", time.perf_counter() - started)
-        nodes = csr.interner._nodes
+        if goal is not None:
+            raise
+        nodes = interner._nodes
         _raise_with_partial(exc, {nodes[i] for i in answer_ints}, budget)
     if stats is not None:
         stats.count("nodes_expanded", expanded)
         stats.count("edges_relaxed", relaxed)
         stats.count("answers", len(answer_ints))
         stats.add_time("bfs", time.perf_counter() - started)
-    nodes = csr.interner._nodes
+    nodes = interner._nodes
     return {nodes[i] for i in answer_ints}
 
 
@@ -349,60 +328,12 @@ def holds(
             source=str(source),
             target=str(target),
         ) as span:
-            found = _holds(compiled, graph, source, target, stats, budget)
+            found = target in _reachable(
+                compiled, graph, source, stats, budget, target
+            )
             span.set(found=found)
             return found
-    return _holds(compiled, graph, source, target, stats, budget)
-
-
-def _holds(
-    compiled: CompiledQuery,
-    graph: EdgeLabeledGraph,
-    source: ObjectId,
-    target: ObjectId,
-    stats: "EngineStats | None" = None,
-    budget: "QueryBudget | None" = None,
-) -> bool:
-    if not (graph.has_node(source) and graph.has_node(target)):
-        return False
-    fault_point("kernel.evaluate")
-    tick, _ = _budget_hooks(budget)
-    started = time.perf_counter()
-    index = get_index(graph, stats)
-    delta = compiled.delta
-    finals = compiled.finals
-    start = {(source, state) for state in compiled.initial}
-    found = any(node == target and state in finals for node, state in start)
-    seen = set(start)
-    queue = deque(start)
-    expanded = 0
-    relaxed = 0
-    while queue and not found:
-        node, state = queue.popleft()
-        expanded += 1
-        if tick is not None:
-            tick()
-        by_symbol = delta.get(state)
-        if not by_symbol:
-            continue
-        for symbol, next_states in by_symbol.items():
-            for _edge, successor in index.out_edges(node, symbol):
-                relaxed += 1
-                for next_state in next_states:
-                    pair = (successor, next_state)
-                    if pair in seen:
-                        continue
-                    if successor == target and next_state in finals:
-                        found = True
-                    seen.add(pair)
-                    queue.append(pair)
-            if found:
-                break
-    if stats is not None:
-        stats.count("nodes_expanded", expanded)
-        stats.count("edges_relaxed", relaxed)
-        stats.add_time("bfs", time.perf_counter() - started)
-    return found
+    return target in _reachable(compiled, graph, source, stats, budget, target)
 
 
 def evaluate(
@@ -411,84 +342,32 @@ def evaluate(
     sources: "Iterable[ObjectId] | None" = None,
     *,
     stats: "EngineStats | None" = None,
-    multi_source: bool = True,
     budget: "QueryBudget | None" = None,
-    use_csr: bool = True,
 ) -> set[tuple[ObjectId, ObjectId]]:
-    """``[[R]]_G`` over all (or the given) sources, sharing one index.
+    """``[[R]]_G`` over all (or the given) sources.
 
-    With ``multi_source=True`` (default) the whole relation is computed in
-    one origin-tracking frontier sweep (:func:`evaluate_sweep`); with
-    ``multi_source=False`` the original per-source BFS loop runs instead
-    (kept as the sweep's differential oracle).  ``use_csr`` picks the data
-    plane either way.
-    """
-    if multi_source:
-        return evaluate_sweep(
-            compiled, graph, sources, stats=stats, budget=budget, use_csr=use_csr
-        )
-    source_nodes = sources if sources is not None else graph.iter_nodes()
-    answers: set[tuple[ObjectId, ObjectId]] = set()
-    # Per-source reachability bounds its own rows ceiling wrong for the
-    # joined relation, so the row check runs out here over the union; the
-    # per-source traversals still honor deadline/cancellation/max_states.
-    per_source = budget.subquery() if budget is not None else None
-    try:
-        for source in source_nodes:
-            for target in reachable(
-                compiled, graph, source,
-                stats=stats, budget=per_source, use_csr=use_csr,
-            ):
-                answers.add((source, target))
-                if budget is not None:
-                    budget.check_rows(len(answers))
-    except BudgetExceeded as exc:
-        _raise_with_partial(exc, answers, budget)
-    return answers
-
-
-def evaluate_sweep(
-    compiled: CompiledQuery,
-    graph: EdgeLabeledGraph,
-    sources: "Iterable[ObjectId] | None" = None,
-    *,
-    stats: "EngineStats | None" = None,
-    budget: "QueryBudget | None" = None,
-    use_csr: bool = True,
-) -> set[tuple[ObjectId, ObjectId]]:
-    """``[[R]]_G`` in **one** multi-source product-BFS sweep.
-
-    Instead of one BFS per source node, every ``(v, q0)`` pair is seeded at
-    once and each product pair ``(node, state)`` carries the *set of origins*
-    that reach it.  Origin sets only grow, so the sweep is a worklist
-    fixpoint: a pair re-enters the queue only when new origins arrive, and
-    each visit propagates just the not-yet-propagated origins (``pending``).
-    Work that per-source BFS repeats for every source — discovering the same
-    product edges again and again — happens here once per pair, with origin
-    bookkeeping done by C-level set operations on batches of sources.
+    Sources that are not nodes of ``graph`` are skipped.  Exactly one
+    remaining source runs the single-source BFS (:func:`_csr_reachable`);
+    any other number runs one origin-tracking sweep (:func:`_csr_sweep`)
+    for all of them at once.
     """
     tracer = get_tracer()
     if tracer.enabled:
-        with tracer.span(
-            "kernel.evaluate_sweep", query=query_text(compiled)
-        ) as span:
-            answers = _evaluate_sweep(
-                compiled, graph, sources, stats, budget, use_csr
-            )
+        with tracer.span("kernel.evaluate", query=query_text(compiled)) as span:
+            answers = _evaluate(compiled, graph, sources, stats, budget)
             span.set(answers=len(answers))
             return answers
-    return _evaluate_sweep(compiled, graph, sources, stats, budget, use_csr)
+    return _evaluate(compiled, graph, sources, stats, budget)
 
 
-def _evaluate_sweep(
+def _evaluate(
     compiled: CompiledQuery,
     graph: EdgeLabeledGraph,
     sources: "Iterable[ObjectId] | None" = None,
     stats: "EngineStats | None" = None,
     budget: "QueryBudget | None" = None,
-    use_csr: bool = True,
 ) -> set[tuple[ObjectId, ObjectId]]:
-    """The uninstrumented sweep body (also the tracing-overhead baseline)."""
+    """The uninstrumented body of :func:`evaluate`."""
     started = time.perf_counter()
     if sources is None:
         source_list = list(graph.iter_nodes())
@@ -498,97 +377,41 @@ def _evaluate_sweep(
         return set()
     fault_point("kernel.evaluate")
     tick, check_rows = _budget_hooks(budget)
-    if use_csr:
-        return _csr_sweep(
-            compiled, graph, source_list, tick, check_rows, stats, budget, started
-        )
-    index = get_index(graph, stats)
-    delta = compiled.delta
-    finals = compiled.finals
-    answers: set[tuple[ObjectId, ObjectId]] = set()
-    #: (node, state) -> every origin that ever reached the pair
-    origins: dict[tuple, set] = {}
-    #: (node, state) -> origins not yet pushed to the pair's successors
-    pending: dict[tuple, set] = {}
-    queue = deque()
-    queued: set[tuple] = set()
+    if len(source_list) == 1:
+        source = source_list[0]
+        try:
+            targets = _csr_reachable(
+                compiled, graph, source, tick, check_rows, stats, budget, started
+            )
+        except BudgetExceeded as exc:
+            raise exc.attach_partial({(source, t) for t in exc.partial or ()})
+        return {(source, target) for target in targets}
+    csr = get_csr(graph, stats)
+    interner = csr.interner
+    plan = compiled.int_plan(interner)
+    node_ids = interner._node_ids
+    k = plan.state_bits
+    seeds: dict[int, int] = {}
     for source in source_list:
-        for state in compiled.initial:
-            pair = (source, state)
-            bucket = origins.get(pair)
-            if bucket is None:
-                origins[pair] = {source}
-                pending[pair] = {source}
-                queued.add(pair)
-                queue.append(pair)
-            elif source not in bucket:
-                bucket.add(source)
-                pending.setdefault(pair, set()).add(source)
-                if pair not in queued:
-                    queued.add(pair)
-                    queue.append(pair)
+        source_int = node_ids[source]
+        bit = 1 << source_int
+        base = source_int << k
+        for state in plan.initial:
+            code = base | state
+            seeds[code] = seeds.get(code, 0) | bit
+    answer_masks = [0] * csr.num_nodes
     try:
-        return _sweep_loop(
-            index, delta, finals, answers, origins, pending, queue, queued,
-            tick, check_rows, stats, started, source_list,
+        expanded, relaxed, _ = _csr_sweep(
+            csr, plan, seeds, answer_masks, tick, check_rows
         )
     except BudgetExceeded as exc:
         if stats is not None:
             stats.count("budget_exceeded")
             stats.add_time("bfs", time.perf_counter() - started)
-        _raise_with_partial(exc, answers, budget)
-
-
-def _sweep_loop(
-    index, delta, finals, answers, origins, pending, queue, queued,
-    tick, check_rows, stats, started, source_list,
-):
-    expanded = 0
-    relaxed = 0
-    fire = FAULTS.fire if FAULTS.enabled else None
-    while queue:
-        pair = queue.popleft()
-        queued.discard(pair)
-        fresh = pending.pop(pair, None)
-        if not fresh:
-            continue
-        expanded += 1
-        if fire is not None:
-            fire("kernel.step")
-        if tick is not None:
-            tick()
-        node, state = pair
-        if state in finals:
-            for origin in fresh:
-                answers.add((origin, node))
-            if check_rows is not None:
-                check_rows(len(answers))
-        by_symbol = delta.get(state)
-        if not by_symbol:
-            continue
-        for symbol, next_states in by_symbol.items():
-            for _edge, target in index.out_edges(node, symbol):
-                relaxed += 1
-                for next_state in next_states:
-                    successor = (target, next_state)
-                    known = origins.get(successor)
-                    if known is None:
-                        origins[successor] = set(fresh)
-                        pending[successor] = set(fresh)
-                        queued.add(successor)
-                        queue.append(successor)
-                    else:
-                        novel = fresh - known
-                        if novel:
-                            known |= novel
-                            extra = pending.get(successor)
-                            if extra is None:
-                                pending[successor] = set(novel)
-                            else:
-                                extra |= novel
-                            if successor not in queued:
-                                queued.add(successor)
-                                queue.append(successor)
+        _raise_with_partial(
+            exc, decode_answer_masks(answer_masks, interner.nodes), budget
+        )
+    answers = decode_answer_masks(answer_masks, interner.nodes)
     if stats is not None:
         stats.count("sweep_sources", len(source_list))
         stats.count("nodes_expanded", expanded)
@@ -598,8 +421,12 @@ def _sweep_loop(
     return answers
 
 
-def _decode_answer_masks(answer_masks, nodes) -> set[tuple[ObjectId, ObjectId]]:
-    """``answer_masks[target_int] = origin bitmask`` -> ``{(origin, target)}``."""
+def decode_answer_masks(answer_masks, nodes) -> set[tuple[ObjectId, ObjectId]]:
+    """``answer_masks[target_int] = origin bitmask`` -> ``{(origin, target)}``.
+
+    ``nodes`` is the numbering both indices refer to (``nodes[i]`` is node
+    int ``i``): an :attr:`Interner.nodes` list, locally or across shards.
+    """
     answers: set[tuple[ObjectId, ObjectId]] = set()
     add = answers.add
     for target_int, mask in enumerate(answer_masks):
@@ -613,30 +440,37 @@ def _decode_answer_masks(answer_masks, nodes) -> set[tuple[ObjectId, ObjectId]]:
 
 
 def _csr_sweep(
-    compiled: CompiledQuery,
-    graph: EdgeLabeledGraph,
-    source_list: list,
+    csr: CSRGraph,
+    plan,
+    seeds: "dict[int, int]",
+    answer_masks: list,
     tick,
     check_rows,
-    stats: "EngineStats | None",
-    budget: "QueryBudget | None",
-    started: float,
-) -> set[tuple[ObjectId, ObjectId]]:
+    owned: "bytearray | None" = None,
+    cross: "dict[int, int] | None" = None,
+) -> tuple[int, int, int]:
     """The multi-source origin-tracking sweep on the flat data plane.
 
-    Product pairs are packed codes; origin *sets* become origin *bitmasks*
-    (one bit per source node int), so the dict sweep's per-batch set algebra
-    turns into single big-int ``&``/``|``/``~`` operations.  ``pending``
-    doubles as the queued signal: a code is in the queue iff its pending
-    mask is nonzero, so the dict sweep's separate ``queued`` set disappears.
-    Answers accumulate as per-target origin masks with an incremental
-    ``bit_count`` row total, keeping ``check_rows`` cadence identical to the
-    dict sweep (checked once per batch of freshly arriving origins).
+    ``seeds`` maps packed product codes to origin bitmasks (bit ``i``:
+    "reached from node int ``i``").  Instead of one BFS per origin, each
+    product pair carries the bitmask of every origin that reaches it.
+    Masks only grow, so the sweep is a worklist fixpoint: a code re-enters
+    the queue only when new origins arrive, and each visit propagates just
+    the not-yet-propagated origins.  ``pending`` doubles as the queued
+    signal: a code is in the queue iff its pending mask is nonzero.
+
+    Final-state pairs OR their origins into ``answer_masks[node_int]``
+    (updated in place, so a budget trip leaves the partial answer there);
+    ``check_rows`` sees the running pair count once per batch of fresh
+    origins.
+
+    With ``owned`` (one byte per node int, nonzero for nodes this sweep may
+    expand) the sweep is one shard's step: a successor at an unowned node
+    records its novel origins in ``cross`` instead of being queued, and a
+    seed at an unowned node is bounced into ``cross`` unexpanded.
+
+    Returns ``(expanded, relaxed, bounced)``.
     """
-    csr = get_csr(graph, stats)
-    interner = csr.interner
-    plan = compiled.int_plan(interner)
-    node_ids = interner._node_ids
     k = plan.state_bits
     state_mask = plan.state_mask
     finals_mask = plan.finals_mask
@@ -644,94 +478,69 @@ def _csr_sweep(
     out_rows = csr.out_rows
     fire = FAULTS.fire if FAULTS.enabled else None
     #: code -> every origin (as a bitmask) that ever reached the pair
-    origins: dict[int, int] = {}
+    origins: dict[int, int] = dict(seeds)
     #: code -> origins not yet pushed to the pair's successors (nonzero
     #: exactly while the code sits in the queue)
-    pending: dict[int, int] = {}
-    queue = deque()
+    pending: dict[int, int] = dict(seeds)
+    queue = deque(seeds)
     append = queue.append
-    initial = plan.initial
-    for source in source_list:
-        source_int = node_ids[source]
-        bit = 1 << source_int
-        base = source_int << k
-        for state in initial:
-            code = base | state
-            known = origins.get(code, 0)
-            if known & bit:
-                continue
-            origins[code] = known | bit
-            pend = pending.get(code, 0)
-            if pend:
-                pending[code] = pend | bit
-            else:
-                pending[code] = bit
-                append(code)
-    answer_masks = [0] * csr.num_nodes
-    answer_count = 0
-    expanded = 0
-    relaxed = 0
     popleft = queue.popleft
     pending_pop = pending.pop
     origins_get = origins.get
     pending_get = pending.get
-    try:
-        while queue:
-            code = popleft()
-            fresh = pending_pop(code, 0)
-            if not fresh:
+    answer_count = 0
+    expanded = 0
+    relaxed = 0
+    bounced = 0
+    while queue:
+        code = popleft()
+        fresh = pending_pop(code, 0)
+        if not fresh:
+            continue
+        expanded += 1
+        if fire is not None:
+            fire("kernel.step")
+        if tick is not None:
+            tick()
+        state = code & state_mask
+        node = code >> k
+        if (finals_mask >> state) & 1:
+            prev = answer_masks[node]
+            new = fresh & ~prev
+            if new:
+                answer_masks[node] = prev | new
+                answer_count += new.bit_count()
+                if check_rows is not None:
+                    check_rows(answer_count)
+        if owned is not None and not owned[node]:
+            cross[code] = cross.get(code, 0) | fresh
+            bounced += 1
+            continue
+        rows = delta[state]
+        if not rows:
+            continue
+        for label_int, next_states in rows:
+            offsets, targets = out_rows[label_int]
+            lo = offsets[node]
+            hi = offsets[node + 1]
+            if lo == hi:
                 continue
-            expanded += 1
-            if fire is not None:
-                fire("kernel.step")
-            if tick is not None:
-                tick()
-            state = code & state_mask
-            node = code >> k
-            if (finals_mask >> state) & 1:
-                prev = answer_masks[node]
-                new = fresh & ~prev
-                if new:
-                    answer_masks[node] = prev | new
-                    answer_count += new.bit_count()
-                    if check_rows is not None:
-                        check_rows(answer_count)
-            rows = delta[state]
-            if not rows:
-                continue
-            for label_int, next_states in rows:
-                offsets, targets = out_rows[label_int]
-                lo = offsets[node]
-                hi = offsets[node + 1]
-                if lo == hi:
-                    continue
-                relaxed += hi - lo
-                for target in targets[lo:hi]:
-                    base = target << k
-                    for next_state in next_states:
-                        succ = base | next_state
-                        known = origins_get(succ, 0)
-                        novel = fresh & ~known
-                        if novel:
-                            origins[succ] = known | novel
-                            pend = pending_get(succ, 0)
-                            if pend:
-                                pending[succ] = pend | novel
-                            else:
-                                pending[succ] = novel
-                                append(succ)
-    except BudgetExceeded as exc:
-        if stats is not None:
-            stats.count("budget_exceeded")
-            stats.add_time("bfs", time.perf_counter() - started)
-        _raise_with_partial(
-            exc, _decode_answer_masks(answer_masks, interner._nodes), budget
-        )
-    answers = _decode_answer_masks(answer_masks, interner._nodes)
-    if stats is not None:
-        stats.count("sweep_sources", len(source_list))
-        stats.count("nodes_expanded", expanded)
-        stats.count("edges_relaxed", relaxed)
-        stats.count("answers", len(answers))
-        stats.add_time("bfs", time.perf_counter() - started)
-    return answers
+            relaxed += hi - lo
+            for target in targets[lo:hi]:
+                base = target << k
+                for next_state in next_states:
+                    succ = base | next_state
+                    known = origins_get(succ, 0)
+                    novel = fresh & ~known
+                    if novel:
+                        origins[succ] = known | novel
+                        if owned is not None and not owned[target]:
+                            cross[succ] = cross.get(succ, 0) | novel
+                            continue
+                        pend = pending_get(succ, 0)
+                        if pend:
+                            pending[succ] = pend | novel
+                        else:
+                            pending[succ] = novel
+                            append(succ)
+    return expanded, relaxed, bounced

@@ -80,8 +80,8 @@ class ShardMap:
     def owned_mask(self, shard: int, order: "list[ObjectId]") -> int:
         """A bitmask over ``order`` positions of the nodes ``shard`` owns.
 
-        ``order`` is the shared node order of
-        :func:`repro.distributed.frontier.node_order`; the mask is how
+        ``order`` is the shared node numbering
+        (:attr:`repro.engine.intern.Interner.nodes`); the mask is how
         ownership ships to shards inside a ``frontier_step`` request.
         """
         mask = 0

@@ -155,7 +155,6 @@ def match_gql_pattern(
     graph: PropertyGraph,
     max_length: "int | None" = None,
     *,
-    use_index: bool = True,
     stats=None,
 ) -> set[GQLMatch]:
     """All matches of the pattern on the graph.
@@ -164,10 +163,9 @@ def match_gql_pattern(
     graphs (otherwise :class:`InfiniteResultError` is raised when the match
     set would be infinite).
 
-    With ``use_index=True`` (default) labeled edge patterns enumerate via
-    the engine's label index instead of scanning every edge;
-    ``use_index=False`` keeps the seed's linear scans (the differential
-    oracle).  ``stats`` collects engine counters when provided.
+    Labeled edge patterns enumerate via the engine's label index instead
+    of scanning every edge.  ``stats`` collects engine counters when
+    provided.
     """
     if isinstance(pattern, str):
         from repro.gql.parser import parse_gql_pattern
@@ -175,12 +173,11 @@ def match_gql_pattern(
         pattern = parse_gql_pattern(pattern)
     return {
         GQLMatch(path, binding)
-        for path, binding in _match(pattern, graph, max_length, (use_index, stats))
+        for path, binding in _match(pattern, graph, max_length, stats)
     }
 
 
-def _match(pattern, graph, bound, ctx=(False, None)) -> set[tuple[Path, Binding]]:
-    use_index, stats = ctx
+def _match(pattern, graph, bound, stats=None) -> set[tuple[Path, Binding]]:
     if isinstance(pattern, NodePat):
         results = set()
         for node in graph.iter_nodes():
@@ -197,15 +194,13 @@ def _match(pattern, graph, bound, ctx=(False, None)) -> set[tuple[Path, Binding]
         results = set()
         if bound is not None and bound < 1:
             return results
-        if use_index and pattern.label is not None:
+        if pattern.label is not None:
             from repro.engine.index import get_index
 
             records = get_index(graph, stats).edges_with_label(pattern.label)
         else:
             records = (
-                (edge, *graph.endpoints(edge))
-                for edge in graph.iter_edges()
-                if pattern.label is None or graph.label(edge) == pattern.label
+                (edge, *graph.endpoints(edge)) for edge in graph.iter_edges()
             )
         scanned = 0
         for edge, src, tgt in records:
@@ -220,9 +215,9 @@ def _match(pattern, graph, bound, ctx=(False, None)) -> set[tuple[Path, Binding]
             stats.count("edges_scanned", scanned)
         return results
     if isinstance(pattern, Seq):
-        current = _match(pattern.parts[0], graph, bound, ctx)
+        current = _match(pattern.parts[0], graph, bound, stats)
         for part in pattern.parts[1:]:
-            step = _match(part, graph, bound, ctx)
+            step = _match(part, graph, bound, stats)
             combined = set()
             for path1, mu1 in current:
                 for path2, mu2 in step:
@@ -240,27 +235,27 @@ def _match(pattern, graph, bound, ctx=(False, None)) -> set[tuple[Path, Binding]
     if isinstance(pattern, Alt):
         results = set()
         for part in pattern.parts:
-            results |= _match(part, graph, bound, ctx)
+            results |= _match(part, graph, bound, stats)
         return results
     if isinstance(pattern, Where):
         return {
             (path, mu)
-            for path, mu in _match(pattern.inner, graph, bound, ctx)
+            for path, mu in _match(pattern.inner, graph, bound, stats)
             if _evaluate_condition(pattern.condition, graph, dict(mu))
         }
     if isinstance(pattern, Quant):
-        return _match_quant(pattern, graph, bound, ctx)
+        return _match_quant(pattern, graph, bound, stats)
     raise TypeError(f"not an ASCII pattern: {pattern!r}")
 
 
-def _match_quant(pattern: Quant, graph, bound, ctx=(False, None)):
+def _match_quant(pattern: Quant, graph, bound, stats=None):
     """Repetition turns every inner variable into a group variable.
 
     ``[[pi]]^j``: j endpoint-chained matches of pi; the resulting binding
     maps each inner variable to the list of its per-iteration values (group
     values of nested quantifiers are flattened, as GQL's lists are flat).
     """
-    inner = _match(pattern.inner, graph, bound, ctx)
+    inner = _match(pattern.inner, graph, bound, stats)
 
     def group_up(mu: Binding) -> dict:
         grouped = {}

@@ -24,16 +24,11 @@ from repro.workloads.querylog import (
     analyze_query_log,
     generate_query_log,
 )
-from repro.workloads.runner import (
-    WorkloadReport,
-    run_query_log,
-    run_query_log_sequential,
-)
+from repro.workloads.runner import WorkloadReport, run_query_log
 
 __all__ = [
     "WorkloadReport",
     "run_query_log",
-    "run_query_log_sequential",
     "label_path",
     "label_cycle",
     "clique",

@@ -1,22 +1,14 @@
-"""Drive a query log through the batch executor (or the seed path).
+"""Drive a query log through the batch executor.
 
 This is the glue between :mod:`repro.workloads.querylog` — the synthetic
 stand-in for the paper's 150M-query SPARQL-log corpus — and the engine's
-:class:`~repro.engine.batch.BatchExecutor`.  Two drivers share one report
-shape so benchmarks and the CLI can compare them directly:
-
-* :func:`run_query_log` — the batch path: deduplicate, pre-warm, share the
-  index, fan out over a pool;
-* :func:`run_query_log_sequential` — the seed path: one independent
-  evaluation per query, re-parsing and re-compiling every time
-  (``use_index=False``), exactly what the repo did before the engine
-  existed.  This is the baseline the ``BENCH_workload.json`` speedup gate
-  measures against, and the oracle the batch results are checked against.
+:class:`~repro.engine.batch.BatchExecutor`: :func:`run_query_log`
+deduplicates, pre-warms, shares the CSR snapshot and fans out over a pool,
+and reports per-query answers plus aggregate accounting.
 """
 
 from __future__ import annotations
 
-import time
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -24,7 +16,6 @@ from repro.engine.batch import BatchExecutor
 from repro.engine.stats import EngineStats
 from repro.graph.edge_labeled import EdgeLabeledGraph
 from repro.regex.ast import Regex
-from repro.rpq.evaluation import evaluate_rpq
 
 #: A workload is what :func:`~repro.workloads.querylog.generate_query_log`
 #: produces: ``(shape, expression)`` pairs.  Bare expressions also work.
@@ -130,8 +121,6 @@ def run_query_log(
     *,
     jobs: "int | None" = None,
     fork: bool = False,
-    multi_source: bool = True,
-    use_csr: bool = True,
     stats: "EngineStats | None" = None,
     slow_log: int = 0,
     budget=None,
@@ -139,14 +128,10 @@ def run_query_log(
     """Evaluate every log expression's full relation via the batch executor.
 
     A ``budget`` applies batch-wide: one shared deadline, per-item forked
-    counters (see :meth:`BatchExecutor.run`).  ``use_csr=False`` drops the
-    kernel to the dict data plane (the CSR benchmarks' baseline).
+    counters (see :meth:`BatchExecutor.run`).
     """
     expressions = _expressions(log)
-    executor = BatchExecutor(
-        jobs=jobs, fork=fork, multi_source=multi_source, use_csr=use_csr,
-        slow_log=slow_log,
-    )
+    executor = BatchExecutor(jobs=jobs, fork=fork, slow_log=slow_log)
     stats = stats if stats is not None else EngineStats()
     batch = executor.run(graph, expressions, stats=stats, budget=budget)
     return WorkloadReport(
@@ -166,31 +151,3 @@ def run_query_log(
         errors=batch.errors,
     )
 
-
-def run_query_log_sequential(
-    graph: EdgeLabeledGraph,
-    log: Sequence[LogEntry],
-    *,
-    use_index: bool = False,
-) -> WorkloadReport:
-    """The per-query seed path: no sharing between queries whatsoever.
-
-    With ``use_index=False`` (default) each query re-parses, re-runs
-    Glushkov, and BFSes with linear edge scans — the exact pre-engine
-    pipeline.  ``use_index=True`` gives the intermediate ablation: warm
-    kernel, but still one per-source evaluation per query with no
-    deduplication or fan-out.
-    """
-    expressions = _expressions(log)
-    started = time.perf_counter()
-    results = [
-        evaluate_rpq(expression, graph, use_index=use_index, multi_source=False)
-        for expression in expressions
-    ]
-    wall = time.perf_counter() - started
-    return WorkloadReport(
-        mode="sequential-indexed" if use_index else "sequential-seed",
-        results=results,
-        wall_seconds=wall,
-        num_queries=len(expressions),
-    )

@@ -14,6 +14,7 @@ from repro.engine.limits import BudgetExceeded, QueryBudget
 from repro.engine.stats import EngineStats
 from repro.graph.generators import label_cycle
 from repro.rpq.evaluation import evaluate_rpq
+from tests import oracles
 
 
 @pytest.fixture()
@@ -32,30 +33,27 @@ class TestKernelFault:
 
 
 class TestKernelStepFault:
-    """The mid-traversal site: fires per product-pair expansion, on both
-    data planes, so chaos coverage reaches *inside* the BFS loops."""
+    """The mid-traversal site: fires per product-pair expansion, in both
+    kernel loops, so chaos coverage reaches *inside* the BFS."""
 
-    def test_csr_and_dict_planes_raise_the_same_typed_fault(self, faults, cycle):
-        for use_csr in (True, False):
-            faults.arm("kernel.step")
-            with pytest.raises(FaultError) as excinfo:
-                evaluate_rpq("a+", cycle, use_csr=use_csr)
-            assert excinfo.value.site == "kernel.step"
-        # clean reruns on both planes recover and agree exactly
-        fast = evaluate_rpq("a+", cycle, use_csr=True)
-        slow = evaluate_rpq("a+", cycle, use_csr=False)
-        assert fast == slow and fast
+    def test_sweep_raises_the_typed_fault_and_recovers(self, faults, cycle):
+        faults.arm("kernel.step")
+        with pytest.raises(FaultError) as excinfo:
+            evaluate_rpq("a+", cycle)
+        assert excinfo.value.site == "kernel.step"
+        # a clean rerun recovers and is exact
+        answers = evaluate_rpq("a+", cycle)
+        assert answers and answers == oracles.evaluate("a+", cycle)
 
     def test_single_source_paths_also_carry_the_site(self, faults, cycle):
         from repro.rpq.evaluation import reachable_by_rpq
 
         node = next(iter(cycle.iter_nodes()))
-        for use_csr in (True, False):
-            faults.arm("kernel.step")
-            with pytest.raises(FaultError):
-                reachable_by_rpq("a+", cycle, node, use_csr=use_csr)
-        assert reachable_by_rpq("a+", cycle, node, use_csr=True) == \
-            reachable_by_rpq("a+", cycle, node, use_csr=False)
+        faults.arm("kernel.step")
+        with pytest.raises(FaultError):
+            reachable_by_rpq("a+", cycle, node)
+        assert reachable_by_rpq("a+", cycle, node) == \
+            oracles.reachable("a+", cycle, node)
 
     def test_repeated_faults_leave_no_stale_state(self, faults, cycle):
         """Three consecutive mid-sweep crashes must not poison the cached

@@ -6,6 +6,7 @@ from repro.crpq.planning import estimate_atom_cardinality, greedy_plan, label_st
 from repro.graph.generators import label_cycle, label_path, random_graph
 from repro.regex.ast import Symbol
 from repro.rpq.evaluation import evaluate_rpq
+from tests import oracles
 
 
 class TestExample13:
@@ -156,7 +157,7 @@ class TestPlannerSelection:
         q = parse_crpq("q(x, z) :- Transfer(x, y), Transfer(y, z), owner(z, w)")
         cost = evaluate_crpq(q, fig2, planner="cost")
         greedy = evaluate_crpq(q, fig2, planner="greedy")
-        oracle = evaluate_crpq(q, fig2, use_index=False)
+        oracle = oracles.evaluate_crpq(q, fig2)
         assert cost == greedy == oracle
 
     def test_unknown_planner_rejected(self, fig2):

@@ -2,7 +2,7 @@
 
 The central acceptance property: ``ShardCoordinator.evaluate_rpq`` over a
 partitioned graph equals single-node ``evaluate_rpq`` equals the naive
-dict oracle (``use_index=False``) — on fixed graphs, on generated
+naive oracle of ``tests/oracles.py`` — on fixed graphs, on generated
 graph/regex pairs (Hypothesis), for both partitioning strategies, for
 full and source-restricted evaluation, and through the CRPQ join.
 """
@@ -21,6 +21,7 @@ from repro.graph.generators import random_graph
 from repro.regex.ast import Concat, Epsilon, Star, Symbol, Union, to_string
 from repro.rpq.evaluation import evaluate_rpq
 from repro.server.app import ServerThread
+from tests import oracles
 
 NUM_SHARDS = 3
 
@@ -126,7 +127,7 @@ class TestDifferential:
         cluster.partition_graph(name, graph)
         sharded = cluster.evaluate_rpq(name, query)
         single = evaluate_rpq(query, graph)
-        oracle = evaluate_rpq(query, graph, use_index=False)
+        oracle = oracles.evaluate(query, graph)
         assert sharded == single == oracle
 
 

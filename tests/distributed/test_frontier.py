@@ -11,16 +11,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.distributed.frontier import (
-    automaton_plan,
     decode_mask,
     decode_pairs,
     encode_mask,
     encode_pairs,
     local_frontier_step,
-    node_order,
+    ownership,
 )
+from repro.engine.cache import DEFAULT_CACHE
+from repro.engine.intern import Interner
 from repro.graph.generators import random_graph
 from repro.rpq.evaluation import evaluate_rpq
+
+
+def plan_for(query, alphabet, graph):
+    """The compiled query lowered into ``graph``'s shared numbering."""
+    compiled = DEFAULT_CACHE.compile(query, frozenset(alphabet))
+    return compiled.int_plan(Interner(graph))
 
 
 def full_mask(order):
@@ -86,29 +93,35 @@ class TestCodec:
             decode_pairs(payload)
 
 
-class TestAutomatonPlan:
+class TestSharedNumbering:
     def test_plan_is_alphabet_deterministic(self):
-        first = automaton_plan("a b*", ["a", "b", "c"])
-        second = automaton_plan("a b*", ["a", "b", "c"])
+        graph = random_graph(8, 20, labels=("a", "b", "c"), seed=1)
+        first = plan_for("a b*", ["a", "b", "c"], graph)
+        second = plan_for("a b*", ["a", "b", "c"], graph)
         assert first.state_bits == second.state_bits
-        assert first.delta == second.delta
+        assert first.state_ids == second.state_ids
         assert first.initial == second.initial
-        assert first.finals == second.finals
+        assert first.finals_mask == second.finals_mask
 
     def test_alphabet_shapes_the_plan(self):
         # The coordinator ships the *global* alphabet precisely because a
         # shard compiling over only its local labels may trim differently.
-        narrow = automaton_plan("(a + b)*", ["a"])
-        wide = automaton_plan("(a + b)*", ["a", "b"])
-        assert narrow.compiled is not wide.compiled
+        narrow = DEFAULT_CACHE.compile("(a + b)*", frozenset(["a"]))
+        wide = DEFAULT_CACHE.compile("(a + b)*", frozenset(["a", "b"]))
+        assert narrow is not wide
+
+    def test_ownership_is_bounded_to_the_node_count(self):
+        assert list(ownership(0b1011, 6)) == [1, 1, 0, 1, 0, 0]
+        assert list(ownership((1 << 70) - 1, 3)) == [1, 1, 1]
+        assert list(ownership(0, 2)) == [0, 0]
 
 
 class TestLocalFrontierStep:
     def test_sole_owner_equals_single_node_rpq(self):
         graph = random_graph(25, 70, labels=("a", "b"), seed=11)
         alphabet = sorted(graph.labels, key=repr)
-        order = node_order(graph)
-        plan = automaton_plan("a (a + b)*", alphabet)
+        order = Interner(graph).nodes
+        plan = plan_for("a (a + b)*", alphabet, graph)
         result = local_frontier_step(
             graph,
             "a (a + b)*",
@@ -124,8 +137,8 @@ class TestLocalFrontierStep:
 
     def test_owner_of_nothing_bounces_the_frontier(self):
         graph = random_graph(10, 30, labels=("a",), seed=4)
-        order = node_order(graph)
-        plan = automaton_plan("a*", ["a"])
+        order = Interner(graph).nodes
+        plan = plan_for("a*", ["a"], graph)
         frontier = seed_frontier(order, plan)
         result = local_frontier_step(
             graph, "a*", ["a"], plan.state_bits, 0, frontier
@@ -135,15 +148,39 @@ class TestLocalFrontierStep:
 
     def test_state_bits_mismatch_raises(self):
         graph = random_graph(5, 10, labels=("a", "b"), seed=0)
-        plan = automaton_plan("(a + b)*", ["a", "b"])
+        plan = plan_for("(a + b)*", ["a", "b"], graph)
         with pytest.raises(ValueError):
             local_frontier_step(
                 graph,
                 "(a + b)*",
                 ["a", "b"],
                 plan.state_bits + 3,
-                full_mask(node_order(graph)),
+                full_mask(Interner(graph).nodes),
                 {},
+            )
+
+    def test_state_field_past_the_automaton_raises(self):
+        # 'a (b+c)* a' has 5 states packed into 3 bits: state ints 5..7 fit
+        # the field but name no state.
+        graph = random_graph(5, 10, labels=("a", "b", "c"), seed=0)
+        alphabet = ["a", "b", "c"]
+        plan = plan_for("a (b+c)* a", alphabet, graph)
+        assert (plan.num_states, plan.state_bits) == (5, 3)
+        for state in (5, 7):
+            with pytest.raises(ValueError, match="state"):
+                local_frontier_step(
+                    graph, "a (b+c)* a", alphabet, plan.state_bits,
+                    full_mask(Interner(graph).nodes), {state: 1},
+                )
+
+    def test_node_field_past_the_graph_raises(self):
+        graph = random_graph(5, 10, labels=("a", "b"), seed=0)
+        plan = plan_for("(a + b)*", ["a", "b"], graph)
+        code = (graph.num_nodes << plan.state_bits) | plan.initial[0]
+        with pytest.raises(ValueError, match="node"):
+            local_frontier_step(
+                graph, "(a + b)*", ["a", "b"], plan.state_bits,
+                full_mask(Interner(graph).nodes), {code: 1},
             )
 
     def test_partial_ownership_splits_answers_and_cross(self):
@@ -157,8 +194,8 @@ class TestLocalFrontierStep:
             graph.add_node(f"n{index}")
         graph.add_edge("e0", "n0", "n1", "a")
         graph.add_edge("e1", "n1", "n2", "a")
-        order = node_order(graph)
-        plan = automaton_plan("a+", ["a"])
+        order = Interner(graph).nodes
+        plan = plan_for("a+", ["a"], graph)
         owned = (1 << order.index("n0")) | (1 << order.index("n1"))
         result = local_frontier_step(
             graph, "a+", ["a"], plan.state_bits, owned,

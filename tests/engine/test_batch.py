@@ -6,9 +6,9 @@ from repro.engine.batch import BatchExecutor, default_jobs
 from repro.engine.stats import EngineStats
 from repro.graph.generators import label_path, random_graph
 from repro.regex.parser import parse_regex
-from repro.rpq.evaluation import evaluate_rpq, reachable_by_rpq
 from repro.workloads.querylog import generate_query_log
-from repro.workloads.runner import run_query_log, run_query_log_sequential
+from repro.workloads.runner import run_query_log
+from tests import oracles
 
 LABELS = ("a", "b", "c")
 
@@ -28,17 +28,12 @@ class TestBatchResults:
     def test_matches_per_query_oracle(self, graph, workload):
         batch = BatchExecutor(jobs=1).run(graph, workload)
         for regex, result in zip(workload, batch.results):
-            assert result == evaluate_rpq(regex, graph, use_index=False)
+            assert result == oracles.evaluate(regex, graph)
 
     def test_thread_pool_matches_inline(self, graph, workload):
         inline = BatchExecutor(jobs=1).run(graph, workload)
         pooled = BatchExecutor(jobs=3).run(graph, workload)
         assert inline.results == pooled.results
-
-    def test_per_source_fallback_matches_sweep(self, graph, workload):
-        sweep = BatchExecutor(jobs=1, multi_source=True).run(graph, workload)
-        loop = BatchExecutor(jobs=1, multi_source=False).run(graph, workload)
-        assert sweep.results == loop.results
 
     def test_string_queries_and_source_pairs(self, graph):
         queries = [
@@ -48,13 +43,9 @@ class TestBatchResults:
             "c",
         ]
         batch = BatchExecutor(jobs=1).run(graph, queries)
-        assert batch.results[0] == evaluate_rpq("a.b", graph, use_index=False)
-        assert batch.results[1] == reachable_by_rpq(
-            "a.b", graph, "v0", use_index=False
-        )
-        assert batch.results[2] == reachable_by_rpq(
-            "(a+b)*", graph, "v1", use_index=False
-        )
+        assert batch.results[0] == oracles.evaluate("a.b", graph)
+        assert batch.results[1] == oracles.reachable("a.b", graph, "v0")
+        assert batch.results[2] == oracles.reachable("(a+b)*", graph, "v1")
 
     def test_unknown_source_yields_empty(self, graph):
         batch = BatchExecutor(jobs=1).run(graph, [("a", "nope")])
@@ -95,9 +86,9 @@ class TestGrouping:
             [(left, "a*"), (right, "b*"), (left, "a")],
             stats=stats,
         )
-        assert results[0] == evaluate_rpq("a*", left, use_index=False)
-        assert results[1] == evaluate_rpq("b*", right, use_index=False)
-        assert results[2] == evaluate_rpq("a", left, use_index=False)
+        assert results[0] == oracles.evaluate("a*", left)
+        assert results[1] == oracles.evaluate("b*", right)
+        assert results[2] == oracles.evaluate("a", left)
         # one adjacency build (the CSR snapshot, on the default data
         # plane) per distinct graph, no matter how many queries
         assert stats.get("csr_builds") == 2
@@ -190,15 +181,13 @@ class TestTelemetry:
 
 
 class TestRunner:
-    def test_runner_matches_sequential(self, graph):
+    def test_runner_matches_oracle(self, graph):
         log = generate_query_log(20, labels=LABELS, seed=9)
         batch = run_query_log(graph, log, jobs=2)
-        seed = run_query_log_sequential(graph, log)
-        indexed = run_query_log_sequential(graph, log, use_index=True)
-        assert batch.results == seed.results == indexed.results
+        assert batch.results == [
+            oracles.evaluate(regex, graph) for _shape, regex in log
+        ]
         assert batch.mode == "batch"
-        assert seed.mode == "sequential-seed"
-        assert indexed.mode == "sequential-indexed"
         digest = batch.summary()
         assert digest["num_queries"] == 20
         assert digest["total_answers"] == batch.total_answers

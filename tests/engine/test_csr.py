@@ -1,20 +1,23 @@
 """The flat int-encoded data plane: interning, CSR rows, bitsets, IntPlan.
 
 ``tests/engine/test_differential.py`` proves the CSR kernel answers every
-query exactly like the dict kernel; this module proves the *components*
-under it correct in isolation and locks in the lifecycle:
+query exactly like the naive oracle of ``tests/oracles.py``; this module
+proves the *components* under it correct in isolation and locks in the
+lifecycle:
 
-* interner properties — round-trip, denseness, stability per graph
-  version, rebuild (with a fresh uid) after mutation;
+* interner properties — round-trip, denseness, the ``repr``-sorted node
+  numbering, stability per graph version, rebuild (with a fresh uid)
+  after mutation;
 * CSR rows — exact agreement with the graph's adjacency per label and
   direction, multiplicity preserved, monotone offsets;
 * bytearray bitsets — set/test/count/indices round-trips;
 * the frontier invariant — walking the CSR rows with a bitset visited set
-  discovers exactly the dict kernel's ``(node, state)`` seen set;
+  discovers exactly a dict BFS's ``(node, state)`` seen set, and the
+  kernel expands each of those pairs exactly once;
 * cache lifecycle — ``get_csr`` reuse within a version, rebuild after
   mutation, a smuggled stale snapshot is never served (the staleness
   regression), stale ``IntPlan``s are dropped on interner change;
-* kernel edge cases vs the dict oracle — empty alphabet, query-only
+* kernel edge cases vs the naive oracle — empty alphabet, query-only
   labels, self-loops, isolated nodes, single-node graphs.
 """
 
@@ -37,6 +40,7 @@ from repro.engine.intern import Interner, get_interner
 from repro.engine.stats import EngineStats
 from repro.graph.edge_labeled import EdgeLabeledGraph
 from repro.rpq.evaluation import evaluate_rpq
+from tests import oracles
 
 
 def small_graph() -> EdgeLabeledGraph:
@@ -90,6 +94,12 @@ class TestInterner:
         )
         for index in range(interner.num_labels):
             assert interner.label_id(interner.label(index)) == index
+
+    @settings(max_examples=50, deadline=None)
+    @given(graph=graphs())
+    def test_nodes_numbered_in_repr_order(self, graph):
+        # The numbering every process derives alike (the shard wire order).
+        assert Interner(graph).nodes == sorted(graph.iter_nodes(), key=repr)
 
     @settings(max_examples=50, deadline=None)
     @given(graph=graphs())
@@ -195,7 +205,7 @@ class TestBitsets:
 
 
 # ----------------------------------------------------------------------
-# the frontier invariant: CSR + IntPlan + bitset == dict kernel's seen set
+# the frontier invariant: CSR + IntPlan + bitset == a dict BFS's seen set
 # ----------------------------------------------------------------------
 class TestFrontierInvariant:
     @settings(max_examples=50, deadline=None)
@@ -207,7 +217,7 @@ class TestFrontierInvariant:
             return
         compiled = kernel.compile_query("a.(b+c)*.a", graph)
 
-        # reference: the dict kernel's (node, state) seen set
+        # reference: a dict BFS's (node, state) seen set
         from collections import deque
 
         seen = {(node, state) for state in compiled.initial}
@@ -252,20 +262,28 @@ class TestFrontierInvariant:
 
     @settings(max_examples=30, deadline=None)
     @given(graph=graphs(), source=st.integers(0, 5))
-    def test_kernels_expand_equal_pair_counts(self, graph, source):
+    def test_kernel_expands_each_reachable_pair_once(self, graph, source):
         """BFS pops every discovered pair once, so ``nodes_expanded`` must
-        agree across the planes regardless of visit order."""
+        equal the size of the reachable product, whatever the visit order."""
         node = f"v{source}"
         if not graph.has_node(node):
             return
         compiled = kernel.compile_query("(a+b)*.c", graph)
-        csr_stats, dict_stats = EngineStats(), EngineStats()
-        fast = kernel.reachable(compiled, graph, node, stats=csr_stats)
-        slow = kernel.reachable(
-            compiled, graph, node, stats=dict_stats, use_csr=False
-        )
-        assert fast == slow
-        assert csr_stats.get("nodes_expanded") == dict_stats.get("nodes_expanded")
+        seen = {(node, state) for state in compiled.initial}
+        frontier = list(seen)
+        while frontier:
+            current, state = frontier.pop()
+            for symbol, next_states in compiled.delta.get(state, {}).items():
+                for edge in graph.out_edges(current, symbol):
+                    for next_state in next_states:
+                        pair = (graph.tgt(edge), next_state)
+                        if pair not in seen:
+                            seen.add(pair)
+                            frontier.append(pair)
+        stats = EngineStats()
+        fast = kernel.reachable(compiled, graph, node, stats=stats)
+        assert fast == oracles.reachable("(a+b)*.c", graph, node)
+        assert stats.get("nodes_expanded") == len(seen)
 
 
 # ----------------------------------------------------------------------
@@ -359,13 +377,12 @@ class TestIntPlan:
 
 
 # ----------------------------------------------------------------------
-# kernel edge cases vs the dict oracle
+# kernel edge cases vs the naive oracle
 # ----------------------------------------------------------------------
 class TestKernelEdgeCases:
     def both(self, query, graph, **kwargs):
-        fast = evaluate_rpq(query, graph, use_csr=True, **kwargs)
-        slow = evaluate_rpq(query, graph, use_csr=False, **kwargs)
-        assert fast == slow
+        fast = evaluate_rpq(query, graph, **kwargs)
+        assert fast == oracles.evaluate(query, graph, **kwargs)
         return fast
 
     def test_empty_alphabet_graph(self):

@@ -1,32 +1,30 @@
-"""Differential test harness: indexed kernel vs naive seed oracle.
+"""Differential test harness: the production kernel vs the naive oracle.
 
 The tentpole guarantee of the execution kernel is *observational
-equivalence*: with ``use_index=True`` every evaluator must return exactly
-what the paper-faithful naive implementation (``use_index=False``, kept
-verbatim from the seed) returns, on every input.  Hypothesis generates
-random multigraphs and random regular expressions (including Remark 11
-wildcards, whose alphabet-dependent compilation is the subtlest cache
-interaction) and pits the two pipelines against each other for:
+equivalence*: every evaluator must return exactly what the paper-faithful
+naive implementation (``tests/oracles.py``, kept verbatim from the seed)
+returns, on every input.  Hypothesis generates random multigraphs and
+random regular expressions (including Remark 11 wildcards, whose
+alphabet-dependent compilation is the subtlest cache interaction) and
+pits the two against each other for:
 
 * ``reachable_by_rpq`` (single-source reachability),
-* ``evaluate_rpq`` (the full answer relation),
-* ``rpq_holds`` (single-pair decision),
+* ``evaluate_rpq`` (the full answer relation, by the multi-source sweep),
+  including restricted source sets of every size — exactly one source
+  selects the single-source BFS instead of the sweep,
+* ``rpq_holds`` (single-pair decision, the early-exit BFS),
 * ``matching_paths`` under shortest / trail / simple modes (sequence
-  equality — same paths in the same order),
+  equality — same paths in the same order; the path enumerator keeps its
+  own ``use_index=False`` linear-scan path),
 * ``evaluate_crpq`` / ``evaluate_crpq_bindings`` (joins of RPQ relations),
-* the multi-source sweep (``multi_source=True``) vs the per-source BFS loop
-  vs the naive oracle, including restricted source sets,
 * the cost-based planner vs the greedy planner vs the naive oracle — plans
   may differ, answer sets must not,
 * the batch executor vs per-query naive evaluation,
-* the flat int-encoded **CSR data plane** (``use_csr=True``, the default)
-  vs the dict kernel (``use_csr=False``) vs the naive oracle, for the
-  sweep, the per-source loop, single-source reachability, restricted
-  source sets and CRPQ joins,
 * all four evaluators — rpq, crpq, coregql, gql — pinned to one answer on
   label-word patterns (the fragment they all implement),
-* budget-trip equivalence: both data planes trip the same typed limit and
-  attach comparable partial answers.
+* budget trips: a ``max_rows`` trip attaches exactly ``max_rows`` true
+  answers, and ``holds``' early exit never expands more product pairs than
+  the full BFS from the same source.
 
 Across the suite well over 200 (graph, query) cases are exercised per run.
 """
@@ -50,6 +48,7 @@ from repro.regex.ast import (
 )
 from repro.rpq.evaluation import evaluate_rpq, reachable_by_rpq, rpq_holds
 from repro.rpq.path_modes import matching_paths
+from tests import oracles
 
 LABELS = "abc"
 A, B, C = Symbol("a"), Symbol("b"), Symbol("c")
@@ -118,17 +117,14 @@ def crpqs(draw) -> CRPQ:
 @given(graph=graphs(), regex=regexes(), source=st.integers(0, 4))
 def test_reachable_indexed_equals_naive(graph, regex, source):
     node = f"v{source}"
-    fast = reachable_by_rpq(regex, graph, node, use_index=True, stats=EngineStats())
-    oracle = reachable_by_rpq(regex, graph, node, use_index=False)
-    assert fast == oracle
+    fast = reachable_by_rpq(regex, graph, node, stats=EngineStats())
+    assert fast == oracles.reachable(regex, graph, node)
 
 
 @settings(max_examples=50, deadline=None)
 @given(graph=graphs(), regex=regexes())
 def test_evaluate_indexed_equals_naive(graph, regex):
-    fast = evaluate_rpq(regex, graph, use_index=True)
-    oracle = evaluate_rpq(regex, graph, use_index=False)
-    assert fast == oracle
+    assert evaluate_rpq(regex, graph) == oracles.evaluate(regex, graph)
 
 
 @settings(max_examples=50, deadline=None)
@@ -137,8 +133,8 @@ def test_evaluate_indexed_equals_naive(graph, regex):
 )
 def test_holds_indexed_equals_naive(graph, regex, source, target):
     src, tgt = f"v{source}", f"v{target}"
-    assert rpq_holds(regex, graph, src, tgt, use_index=True) == rpq_holds(
-        regex, graph, src, tgt, use_index=False
+    assert rpq_holds(regex, graph, src, tgt) == oracles.holds(
+        regex, graph, src, tgt
     )
 
 
@@ -170,29 +166,17 @@ def test_path_modes_indexed_equals_naive(graph, regex, source, target):
 @settings(max_examples=50, deadline=None)
 @given(graph=graphs(max_nodes=4, max_edges=6), query=crpqs())
 def test_crpq_indexed_equals_naive(graph, query):
-    fast = evaluate_crpq(query, graph, use_index=True, stats=EngineStats())
-    oracle = evaluate_crpq(query, graph, use_index=False)
-    assert fast == oracle
-    fast_bindings = evaluate_crpq_bindings(query, graph, use_index=True)
-    oracle_bindings = evaluate_crpq_bindings(query, graph, use_index=False)
+    fast = evaluate_crpq(query, graph, stats=EngineStats())
+    assert fast == oracles.evaluate_crpq(query, graph)
+    fast_bindings = evaluate_crpq_bindings(query, graph)
+    oracle_bindings = oracles.crpq_bindings(query, graph)
     freeze = lambda bindings: {tuple(sorted(b.items(), key=repr)) for b in bindings}
     assert freeze(fast_bindings) == freeze(oracle_bindings)
 
 
 # ----------------------------------------------------------------------
-# multi-source sweep vs per-source BFS vs naive
+# restricted source sets: the sweep, or the single-source BFS for one source
 # ----------------------------------------------------------------------
-@settings(max_examples=60, deadline=None)
-@given(graph=graphs(), regex=regexes())
-def test_sweep_equals_per_source_and_naive(graph, regex):
-    sweep = evaluate_rpq(
-        regex, graph, use_index=True, multi_source=True, stats=EngineStats()
-    )
-    per_source = evaluate_rpq(regex, graph, use_index=True, multi_source=False)
-    oracle = evaluate_rpq(regex, graph, use_index=False)
-    assert sweep == per_source == oracle
-
-
 @settings(max_examples=40, deadline=None)
 @given(
     graph=graphs(),
@@ -200,11 +184,11 @@ def test_sweep_equals_per_source_and_naive(graph, regex):
     picks=st.sets(st.integers(0, 6), max_size=4),
 )
 def test_sweep_restricted_sources_equals_naive(graph, regex, picks):
-    # Source lists may name nodes outside the graph; both paths must skip them.
+    # Source lists may name nodes outside the graph; both paths must skip
+    # them.  Sets of one node select the single-source BFS.
     sources = [f"v{i}" for i in sorted(picks)]
-    sweep = evaluate_rpq(regex, graph, sources, use_index=True, multi_source=True)
-    oracle = evaluate_rpq(regex, graph, sources, use_index=False)
-    assert sweep == oracle
+    fast = evaluate_rpq(regex, graph, sources, stats=EngineStats())
+    assert fast == oracles.evaluate(regex, graph, sources)
 
 
 # ----------------------------------------------------------------------
@@ -213,14 +197,13 @@ def test_sweep_restricted_sources_equals_naive(graph, regex, picks):
 @settings(max_examples=50, deadline=None)
 @given(graph=graphs(max_nodes=4, max_edges=6), query=crpqs())
 def test_planners_agree_on_answer_sets(graph, query):
-    cost = evaluate_crpq(query, graph, use_index=True, planner="cost")
-    greedy = evaluate_crpq(query, graph, use_index=True, planner="greedy")
-    oracle = evaluate_crpq(query, graph, use_index=False, planner="greedy")
-    assert cost == greedy == oracle
+    cost = evaluate_crpq(query, graph, planner="cost")
+    greedy = evaluate_crpq(query, graph, planner="greedy")
+    assert cost == greedy == oracles.evaluate_crpq(query, graph)
     freeze = lambda bindings: {tuple(sorted(b.items(), key=repr)) for b in bindings}
     assert freeze(
-        evaluate_crpq_bindings(query, graph, use_index=True, planner="cost")
-    ) == freeze(evaluate_crpq_bindings(query, graph, use_index=False))
+        evaluate_crpq_bindings(query, graph, planner="cost")
+    ) == freeze(oracles.crpq_bindings(query, graph))
 
 
 # ----------------------------------------------------------------------
@@ -236,78 +219,7 @@ def test_batch_executor_equals_naive(graph, workload):
 
     batch = BatchExecutor(jobs=1).run(graph, workload)
     for regex, result in zip(workload, batch.results):
-        assert result == evaluate_rpq(regex, graph, use_index=False)
-
-
-# ----------------------------------------------------------------------
-# CSR data plane vs dict kernel vs naive — the int encoding must be
-# observationally invisible
-# ----------------------------------------------------------------------
-@settings(max_examples=80, deadline=None)
-@given(graph=graphs(), regex=regexes())
-def test_csr_sweep_equals_dict_kernel_and_naive(graph, regex):
-    csr = evaluate_rpq(
-        regex, graph, use_index=True, use_csr=True, stats=EngineStats()
-    )
-    dict_kernel = evaluate_rpq(regex, graph, use_index=True, use_csr=False)
-    oracle = evaluate_rpq(regex, graph, use_index=False)
-    assert csr == dict_kernel == oracle
-
-
-@settings(max_examples=80, deadline=None)
-@given(graph=graphs(), regex=regexes(), source=st.integers(0, 4))
-def test_csr_reachable_equals_dict_kernel_and_naive(graph, regex, source):
-    node = f"v{source}"
-    csr = reachable_by_rpq(regex, graph, node, use_index=True, use_csr=True)
-    dict_kernel = reachable_by_rpq(
-        regex, graph, node, use_index=True, use_csr=False
-    )
-    oracle = reachable_by_rpq(regex, graph, node, use_index=False)
-    assert csr == dict_kernel == oracle
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    graph=graphs(),
-    regex=regexes(),
-    picks=st.sets(st.integers(0, 6), max_size=4),
-)
-def test_csr_restricted_sources_equals_dict_kernel(graph, regex, picks):
-    # Source lists may name nodes outside the graph; both planes must skip
-    # them before seeding (the CSR plane would otherwise KeyError interning).
-    sources = [f"v{i}" for i in sorted(picks)]
-    csr = evaluate_rpq(regex, graph, sources, use_index=True, use_csr=True)
-    dict_kernel = evaluate_rpq(
-        regex, graph, sources, use_index=True, use_csr=False
-    )
-    assert csr == dict_kernel
-
-
-@settings(max_examples=30, deadline=None)
-@given(graph=graphs(), regex=regexes())
-def test_csr_per_source_loop_equals_dict_kernel(graph, regex):
-    # multi_source=False exercises the CSR single-source BFS per node.
-    csr = evaluate_rpq(
-        regex, graph, use_index=True, use_csr=True, multi_source=False
-    )
-    dict_kernel = evaluate_rpq(
-        regex, graph, use_index=True, use_csr=False, multi_source=False
-    )
-    assert csr == dict_kernel
-
-
-@settings(max_examples=40, deadline=None)
-@given(graph=graphs(max_nodes=4, max_edges=6), query=crpqs())
-def test_csr_crpq_equals_dict_kernel(graph, query):
-    csr = evaluate_crpq(query, graph, use_index=True, use_csr=True)
-    dict_kernel = evaluate_crpq(query, graph, use_index=True, use_csr=False)
-    assert csr == dict_kernel
-    freeze = lambda bindings: {tuple(sorted(b.items(), key=repr)) for b in bindings}
-    assert freeze(
-        evaluate_crpq_bindings(query, graph, use_index=True, use_csr=True)
-    ) == freeze(
-        evaluate_crpq_bindings(query, graph, use_index=True, use_csr=False)
-    )
+        assert result == oracles.evaluate(regex, graph)
 
 
 # ----------------------------------------------------------------------
@@ -341,13 +253,13 @@ def word_cases(draw):
 @settings(max_examples=60, deadline=None)
 @given(case=word_cases())
 def test_four_evaluators_agree_on_label_words(case):
-    """rpq (CSR and dict), crpq, coregql and gql pin one endpoint relation.
+    """rpq, crpq, coregql and gql pin one endpoint relation.
 
     A label word ``l1 ... lk`` is expressible in every language of the
     library: as the concat regex, as a one-atom CRPQ, and as the pattern
     ``() -[:l1]-> () ... ()``.  The gql/coregql evaluators never route
     through the kernel, so this is the cross-evaluator agreement layer of
-    the CSR differential harness.
+    the differential harness.
     """
     from repro.coregql.parser import parse_coregql_pattern
     from repro.coregql.semantics import pattern_triples
@@ -358,13 +270,13 @@ def test_four_evaluators_agree_on_label_words(case):
         regex = Concat(tuple(Symbol(label) for label in word))
     else:
         regex = Epsilon()
-    expected = evaluate_rpq(regex, graph, use_index=True, use_csr=True)
-    assert expected == evaluate_rpq(regex, graph, use_index=True, use_csr=False)
+    expected = evaluate_rpq(regex, graph)
+    assert expected == oracles.evaluate(regex, graph)
 
     query = CRPQ(
         head=(Var("x"), Var("y")), atoms=(RPQAtom(regex, Var("x"), Var("y")),)
     )
-    assert evaluate_crpq(query, graph, use_index=True, use_csr=True) == expected
+    assert evaluate_crpq(query, graph) == expected
 
     pattern_text = "()" + "".join(f" -[:{label}]-> ()" for label in word)
     core_endpoints = {
@@ -382,58 +294,71 @@ def test_four_evaluators_agree_on_label_words(case):
 
 
 # ----------------------------------------------------------------------
-# budget-trip equivalence across the two data planes
+# budget trips
 # ----------------------------------------------------------------------
 @settings(max_examples=40, deadline=None)
-@given(graph=graphs(), regex=regexes(), ceiling=st.integers(1, 6))
-def test_max_rows_trip_equivalent_across_planes(graph, regex, ceiling):
-    """Both planes trip ``max_rows`` on the same inputs, with true partials.
-
-    The attached partial must be *exactly* the ceiling and a subset of the
-    full answer on either plane (the subsets themselves may differ — answer
-    discovery order is an implementation detail the bound does not fix).
+@given(
+    graph=graphs(),
+    regex=regexes(),
+    source=st.integers(0, 4),
+    target=st.integers(0, 4),
+    ceiling=st.integers(1, 6),
+)
+def test_max_rows_trip_carries_exact_partial(graph, regex, source, target, ceiling):
+    """``max_rows`` trips exactly when the answer exceeds it, with a true
+    ``max_rows``-subset of the oracle's answer attached (which subset is
+    an implementation detail the bound does not fix).  ``holds`` answers
+    yes/no, so no row ceiling ever trips it.
     """
-    full = evaluate_rpq(regex, graph, use_index=True, use_csr=False)
-    for use_csr in (True, False):
-        budget = make_budget(max_rows=ceiling)
-        if len(full) > ceiling:
-            try:
-                evaluate_rpq(
-                    regex, graph, use_index=True, use_csr=use_csr, budget=budget
-                )
-            except BudgetExceeded as exc:
-                assert exc.limit == "max_rows"
-                assert len(exc.partial) == ceiling
-                assert exc.partial <= full
-            else:
-                raise AssertionError(f"use_csr={use_csr} did not trip")
+    full = oracles.evaluate(regex, graph)
+    budget = make_budget(max_rows=ceiling)
+    if len(full) > ceiling:
+        try:
+            evaluate_rpq(regex, graph, budget=budget)
+        except BudgetExceeded as exc:
+            assert exc.limit == "max_rows"
+            assert len(exc.partial) == ceiling
+            assert exc.partial <= full
         else:
-            assert (
-                evaluate_rpq(
-                    regex, graph, use_index=True, use_csr=use_csr, budget=budget
-                )
-                == full
-            )
+            raise AssertionError("max_rows did not trip")
+    else:
+        assert evaluate_rpq(regex, graph, budget=budget) == full
+    src, tgt = f"v{source}", f"v{target}"
+    assert rpq_holds(
+        regex, graph, src, tgt, budget=make_budget(max_rows=ceiling)
+    ) == oracles.holds(regex, graph, src, tgt)
 
 
 @settings(max_examples=40, deadline=None)
-@given(graph=graphs(), regex=regexes(), source=st.integers(0, 4), ceiling=st.integers(1, 8))
-def test_max_states_trip_equivalent_across_planes(graph, regex, source, ceiling):
-    """``max_states`` (stride=1) trips identically: the planes expand the
-    same number of product pairs, each exactly once."""
-    node = f"v{source}"
-    outcomes = []
-    for use_csr in (True, False):
-        budget = make_budget(max_states=ceiling, stride=1)
-        try:
-            answers = reachable_by_rpq(
-                regex, graph, node, use_index=True, use_csr=use_csr,
-                budget=budget,
-            )
-            outcomes.append(("ok", answers))
-        except BudgetExceeded as exc:
-            assert exc.limit == "max_states"
-            outcomes.append(("trip", None))
-    assert outcomes[0][0] == outcomes[1][0]
-    if outcomes[0][0] == "ok":
-        assert outcomes[0][1] == outcomes[1][1]
+@given(
+    graph=graphs(),
+    regex=regexes(),
+    source=st.integers(0, 4),
+    target=st.integers(0, 4),
+    ceiling=st.integers(1, 8),
+)
+def test_max_states_trip_is_monotone(graph, regex, source, target, ceiling):
+    """``max_states`` (stride=1) bounds product pairs expanded.  The BFS
+    expands each reachable pair once, and ``holds`` expands a prefix of
+    the same BFS: it can only trip when the full BFS trips, and untripped
+    both agree with the oracle."""
+    node, goal = f"v{source}", f"v{target}"
+    try:
+        answers = reachable_by_rpq(
+            regex, graph, node, budget=make_budget(max_states=ceiling, stride=1)
+        )
+    except BudgetExceeded as exc:
+        assert exc.limit == "max_states"
+        answers = None
+    else:
+        assert answers == oracles.reachable(regex, graph, node)
+    try:
+        found = rpq_holds(
+            regex, graph, node, goal,
+            budget=make_budget(max_states=ceiling, stride=1),
+        )
+    except BudgetExceeded as exc:
+        assert exc.limit == "max_states"
+        assert answers is None, "holds tripped where the full BFS did not"
+    else:
+        assert found == oracles.holds(regex, graph, node, goal)

@@ -395,7 +395,7 @@ class TestThreadIsolation:
                 if attr is not None and span.name in (
                     "rpq.evaluate",
                     "kernel.compile",
-                    "kernel.evaluate_sweep",
+                    "kernel.evaluate",
                 ):
                     assert attr == query, (
                         f"span {span.name} of query {attr!r} interleaved "

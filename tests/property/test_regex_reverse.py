@@ -27,6 +27,7 @@ from repro.regex.ast import (
 )
 from repro.regex.ast import reverse as regex_reverse
 from repro.rpq.evaluation import evaluate_rpq, reachable_by_rpq
+from tests import oracles
 
 LABELS = "abc"
 A, B, C = Symbol("a"), Symbol("b"), Symbol("c")
@@ -92,10 +93,8 @@ def test_double_reverse_preserves_language(graph, regex):
 @settings(max_examples=60, deadline=None)
 @given(graph=graphs(), regex=regexes())
 def test_reverse_swaps_answer_pairs(graph, regex):
-    forward = evaluate_rpq(regex, graph, use_index=False)
-    backward = evaluate_rpq(
-        regex_reverse(regex), graph.reversed_copy(), use_index=False
-    )
+    forward = oracles.evaluate(regex, graph)
+    backward = oracles.evaluate(regex_reverse(regex), graph.reversed_copy())
     assert backward == {(target, source) for source, target in forward}
 
 
@@ -111,5 +110,5 @@ def test_backward_reachability_equals_forward(graph, regex, target):
     flipped = get_reversed(graph)
     assert flipped is get_reversed(graph), "reversed copy must be cached"
     sources = reachable_by_rpq(regex_reverse(regex), flipped, node)
-    forward = evaluate_rpq(regex, graph, use_index=False)
+    forward = oracles.evaluate(regex, graph)
     assert sources == {source for source, tgt in forward if tgt == node}
