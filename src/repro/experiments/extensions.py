@@ -186,6 +186,7 @@ def e31_two_way_and_deltas() -> ExperimentResult:
 
 def e32_forall_on_matched_paths() -> ExperimentResult:
     """E32 / Section 5.2: the <forall pi' => theta> proposal and its trap."""
+    import gc
     import time
 
     from repro.graph.generators import dated_path
@@ -220,11 +221,21 @@ def e32_forall_on_matched_paths() -> ExperimentResult:
             graph.add_edge(f"u{stage}b", f"top{stage}", f"j{stage + 1}", "a")
             graph.add_edge(f"d{stage}a", f"j{stage}", f"bot{stage}", "a")
             graph.add_edge(f"d{stage}b", f"bot{stage}", f"j{stage + 1}", "a")
-        start = time.perf_counter()
-        distinct = all_values_distinct_via_forall(
-            graph, "j0", f"j{stages}", prop="k"
-        )
-        seconds = time.perf_counter() - start
+        # Best of three runs with the collector parked: the claim is about
+        # the algorithm's growth, not about a GC pause or a busy CPU that
+        # happens to land on one of the (millisecond-scale) smaller sizes.
+        seconds = float("inf")
+        for _ in range(3):
+            gc.collect()
+            gc.disable()
+            try:
+                start = time.perf_counter()
+                distinct = all_values_distinct_via_forall(
+                    graph, "j0", f"j{stages}", prop="k"
+                )
+                seconds = min(seconds, time.perf_counter() - start)
+            finally:
+                gc.enable()
         rows.append(
             {
                 "query": "all node values distinct (NP-hard in general)",

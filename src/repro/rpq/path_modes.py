@@ -146,33 +146,49 @@ def _shortest_paths(
 def _all_paths(
     product: ProductGraph, limit: int | None, budget=None
 ) -> Iterator[Path]:
-    """Every matching path, in length order; errors out on infinite sets."""
+    """Every matching path, in length order; errors out on infinite sets.
+
+    The search walks graph paths, not product paths: a queue entry is a
+    graph path together with the product nodes its runs can end in (the
+    subset construction, carried along the path).  An ambiguous automaton
+    witnesses one graph path by many runs — exponentially many in its
+    length for expressions like ``(a + a . a)*`` — so walking runs would
+    visit each path once per run, and a ``limit`` counted in distinct paths
+    could take exponential time and memory to reach.  Here every graph path is
+    visited at most once.
+    """
     if limit is None and product.has_accepting_cycle_path():
         raise InfiniteResultError(
             "infinitely many matching paths; pass a limit or use a path mode"
         )
     graph = product.graph
-    emitted: set[Path] = set()
+    base = product.base
+    targets = product.targets
     count = 0
     tick = budget.tick if budget is not None else None
-    queue: deque[tuple] = deque()
-    for start in sorted(product.sources, key=repr):
-        queue.append((start,))
+    starts: dict = {}
+    for start in product.sources:
+        starts.setdefault(product.project_node(start), set()).add(start)
+    queue: deque[tuple] = deque(
+        ((node,), starts[node]) for node in sorted(starts, key=repr)
+    )
     while queue:
         if tick is not None:
             tick()
-        product_objects = queue.popleft()
-        node = product_objects[-1]
-        if node in product.targets:
-            path = product.project_path(Path(graph, product_objects))
-            if path not in emitted:
-                emitted.add(path)
-                yield path
-                count += 1
-                if limit is not None and count >= limit:
-                    return
-        for edge in sorted(graph.out_edges(node), key=repr):
-            queue.append(product_objects + (edge, graph.tgt(edge)))
+        objects, runs = queue.popleft()
+        if not targets.isdisjoint(runs):
+            yield Path(base, objects)
+            count += 1
+            if limit is not None and count >= limit:
+                return
+        successors: dict = {}
+        for run in runs:
+            for edge in graph.out_edges(run):
+                successors.setdefault(product.project_edge(edge), set()).add(
+                    graph.tgt(edge)
+                )
+        for edge in sorted(successors, key=repr):
+            queue.append((objects + (edge, base.tgt(edge)), successors[edge]))
 
 
 def _constrained_paths(

@@ -35,6 +35,18 @@ class TestBatchResults:
         pooled = BatchExecutor(jobs=3).run(graph, workload)
         assert inline.results == pooled.results
 
+    def test_source_pairs_match_rows_of_full_answer(self, graph):
+        # (query, source) pairs run the single-source BFS, bare queries the
+        # sweep; each source's answer is that source's row of the full one.
+        sources = sorted(graph.iter_nodes(), key=repr)[:8]
+        batch = BatchExecutor(jobs=1).run(
+            graph, ["(a+b)*.c"] + [("(a+b)*.c", node) for node in sources]
+        )
+        full = batch.results[0]
+        assert full == oracles.evaluate("(a+b)*.c", graph)
+        for node, targets in zip(sources, batch.results[1:]):
+            assert targets == {tgt for src, tgt in full if src == node}
+
     def test_string_queries_and_source_pairs(self, graph):
         queries = [
             "a.b",

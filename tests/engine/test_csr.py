@@ -6,11 +6,13 @@ proves the *components* under it correct in isolation and locks in the
 lifecycle:
 
 * interner properties — round-trip, denseness, the ``repr``-sorted node
-  numbering, stability per graph version, rebuild (with a fresh uid)
-  after mutation;
+  numbering (the same for any insertion order), stability per graph
+  version, rebuild (with a fresh uid) after mutation;
 * CSR rows — exact agreement with the graph's adjacency per label and
   direction, multiplicity preserved, monotone offsets;
 * bytearray bitsets — set/test/count/indices round-trips;
+* answer-mask decoding — ``decode_answer_masks`` inverts the sweep's
+  origin-bitmask encoding;
 * the frontier invariant — walking the CSR rows with a bitset visited set
   discovers exactly a dict BFS's ``(node, state)`` seen set, and the
   kernel expands each of those pairs exactly once;
@@ -100,6 +102,22 @@ class TestInterner:
     def test_nodes_numbered_in_repr_order(self, graph):
         # The numbering every process derives alike (the shard wire order).
         assert Interner(graph).nodes == sorted(graph.iter_nodes(), key=repr)
+
+    @settings(max_examples=50, deadline=None)
+    @given(graph=graphs(), order=st.randoms(use_true_random=False))
+    def test_numbering_independent_of_insertion_order(self, graph, order):
+        # A graph built from the same nodes and edges in another order (a
+        # shard's copy, say) gets the same node numbering.
+        nodes = list(graph.iter_nodes())
+        edges = list(graph.iter_edges())
+        order.shuffle(nodes)
+        order.shuffle(edges)
+        rebuilt = EdgeLabeledGraph()
+        for node in nodes:
+            rebuilt.add_node(node)
+        for edge in edges:
+            rebuilt.add_edge(edge, *graph.endpoints(edge), graph.label(edge))
+        assert Interner(rebuilt).nodes == Interner(graph).nodes
 
     @settings(max_examples=50, deadline=None)
     @given(graph=graphs())
@@ -374,6 +392,26 @@ class TestIntPlan:
         assert replacement is not plan
         assert isinstance(replacement, IntPlan)
         assert replacement.interner_uid == other.uid
+
+
+# ----------------------------------------------------------------------
+# answer-mask decoding (origin bitmask per target node int)
+# ----------------------------------------------------------------------
+class TestDecodeAnswerMasks:
+    @settings(max_examples=50, deadline=None)
+    @given(
+        size=st.integers(1, 70),
+        picks=st.sets(st.tuples(st.integers(0, 69), st.integers(0, 69))),
+    )
+    def test_decode_inverts_encoding(self, size, picks):
+        nodes = [f"n{i}" for i in range(size)]
+        pairs = {(o, t) for o, t in picks if o < size and t < size}
+        masks = [0] * size
+        for origin, target in pairs:
+            masks[target] |= 1 << origin
+        assert kernel.decode_answer_masks(masks, nodes) == {
+            (nodes[o], nodes[t]) for o, t in pairs
+        }
 
 
 # ----------------------------------------------------------------------

@@ -11,8 +11,10 @@ pits the two against each other for:
 * ``reachable_by_rpq`` (single-source reachability),
 * ``evaluate_rpq`` (the full answer relation, by the multi-source sweep),
   including restricted source sets of every size — exactly one source
-  selects the single-source BFS instead of the sweep,
-* ``rpq_holds`` (single-pair decision, the early-exit BFS),
+  selects the single-source BFS instead of the sweep — and the union of
+  one-source answers over every node,
+* ``rpq_holds`` (single-pair decision, the early-exit BFS), also against
+  membership in ``reachable_by_rpq``'s answer,
 * ``matching_paths`` under shortest / trail / simple modes (sequence
   equality — same paths in the same order; the path enumerator keeps its
   own ``use_index=False`` linear-scan path),
@@ -138,6 +140,16 @@ def test_holds_indexed_equals_naive(graph, regex, source, target):
     )
 
 
+@settings(max_examples=50, deadline=None)
+@given(graph=graphs(), regex=regexes(), source=st.integers(0, 4))
+def test_holds_agrees_with_reachable(graph, regex, source):
+    # The early-exit BFS decides membership in the full BFS's answer.
+    node = f"v{source}"
+    answers = reachable_by_rpq(regex, graph, node)
+    for target in graph.iter_nodes():
+        assert rpq_holds(regex, graph, node, target) == (target in answers)
+
+
 # ----------------------------------------------------------------------
 # path modes (sequence equality: same paths, same order)
 # ----------------------------------------------------------------------
@@ -177,6 +189,18 @@ def test_crpq_indexed_equals_naive(graph, query):
 # ----------------------------------------------------------------------
 # restricted source sets: the sweep, or the single-source BFS for one source
 # ----------------------------------------------------------------------
+@settings(max_examples=60, deadline=None)
+@given(graph=graphs(), regex=regexes())
+def test_sweep_equals_per_source_and_naive(graph, regex):
+    # One source per call selects the single-source BFS; all sources at
+    # once select the sweep.  Both loops must produce the oracle's answer.
+    sweep = evaluate_rpq(regex, graph, stats=EngineStats())
+    per_source = set()
+    for node in graph.iter_nodes():
+        per_source |= evaluate_rpq(regex, graph, [node])
+    assert sweep == per_source == oracles.evaluate(regex, graph)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     graph=graphs(),

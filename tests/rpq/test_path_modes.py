@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.engine.limits import make_budget
 from repro.errors import EvaluationError, InfiniteResultError
 from repro.graph.generators import diamond_chain, label_cycle, label_path, parallel_chain
 from repro.rpq.path_modes import matching_paths
@@ -62,6 +63,20 @@ class TestAll:
         g = label_path(2)
         paths = list(matching_paths("a* . a*", g, "v0", "v2", mode="all"))
         assert len(paths) == 1
+
+    def test_ambiguous_query_limit_visits_each_path_once(self):
+        """``(a + a . a)*`` has Fibonacci-many runs over n turns of an
+        a-loop; the limit counts distinct paths, so reaching it must not
+        walk every run."""
+        g = label_cycle(1)
+        budget = make_budget(max_states=1000, stride=1)
+        paths = list(
+            matching_paths(
+                "(a + a . a)*", g, "v0", "v0", mode="all", limit=100,
+                budget=budget,
+            )
+        )
+        assert [len(p) for p in paths] == list(range(100))
 
 
 class TestSimpleAndTrail:

@@ -14,6 +14,17 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "a3\ta5" in out
 
+    def test_rpq_rows_match_oracle(self, capsys):
+        from repro.graph.datasets import figure2_graph
+        from tests import oracles
+
+        assert main(["rpq", "fig2", "Transfer*"]) == 0
+        rows = capsys.readouterr().out.splitlines()
+        expected = oracles.evaluate("Transfer*", figure2_graph())
+        assert rows == [
+            f"{src}\t{tgt}" for src, tgt in sorted(expected, key=repr)
+        ]
+
     def test_crpq(self, capsys):
         assert (
             main(
@@ -160,6 +171,15 @@ class TestWorkloadCLI:
         assert report["mode"] == "batch"
         assert report["num_queries"] == 25
         assert report["num_unique"] <= 25
+
+    def test_workload_answers_independent_of_jobs(self, capsys):
+        args = ["workload", "run", "random", "--queries", "15", "--nodes",
+                "20", "--edges", "60"]
+        assert main(args + ["--jobs", "1"]) == 0
+        inline = json.loads(capsys.readouterr().out)
+        assert main(args + ["--jobs", "2"]) == 0
+        pooled = json.loads(capsys.readouterr().out)
+        assert inline["total_answers"] == pooled["total_answers"] > 0
 
     def test_workload_run_fig2_with_stats(self, capsys):
         assert (
