@@ -66,7 +66,7 @@ def test_budget_overhead_under_gate(limits_records):
     total_budgeted = 0.0
     for num_edges in SIZES:
         graph = random_graph(NUM_NODES, num_edges, labels=LABELS, seed=11)
-        # Warm the compile cache and label index, and verify the budget
+        # Warm the compile cache and CSR snapshot, and verify the budget
         # changes nothing but time before trusting the measurement.
         plain_answers = [evaluate_rpq(query, graph) for query in QUERIES]
         budgeted_answers = [

@@ -9,8 +9,8 @@ access path:
 
 * left term bound  -> forward reachability from the bound node;
 * right term bound -> reachability of the *reversed* expression over the
-  reversed graph (Section 6.2's product construction runs equally well
-  backwards);
+  incoming edges of the same CSR snapshot (Section 6.2's product
+  construction runs equally well backwards; no reversed graph is built);
 * neither bound    -> the full ``[[R]]_G`` relation.
 
 Reachability calls are memoized per (expression, start), so star-shaped
@@ -23,12 +23,12 @@ from itertools import islice
 
 from repro.crpq.ast import CRPQ, RPQAtom, Var
 from repro.crpq.planning import explain_steps, make_plan
-from repro.engine.index import get_reversed
+from repro.engine import kernel
 from repro.engine.limits import BudgetExceeded
 from repro.engine.tracing import get_tracer
 from repro.graph.edge_labeled import EdgeLabeledGraph, ObjectId
 from repro.regex.ast import reverse as regex_reverse
-from repro.rpq.evaluation import compile_for_graph, evaluate_rpq, reachable_by_rpq
+from repro.rpq.evaluation import evaluate_rpq
 
 
 class _AtomAccess:
@@ -36,7 +36,8 @@ class _AtomAccess:
 
     Compilation goes through the engine's process-wide LRU cache (keyed on
     the *alphabet*, so a graph mutated between runs never resurrects a
-    stale wildcard automaton) and reachability runs on the kernel.
+    stale wildcard automaton) and reachability runs on the kernel, over the
+    graph's one CSR snapshot in either direction.
     """
 
     def __init__(self, graph: EdgeLabeledGraph, stats=None, budget=None):
@@ -45,26 +46,23 @@ class _AtomAccess:
         # Atom relations are *intermediate* results: they share the query's
         # deadline/cancellation but are exempt from its answer-row ceiling.
         self.budget = budget.subquery() if budget is not None else None
-        self.reversed_graph = None
         self._forward: dict = {}
         self._backward: dict = {}
         self._full: dict = {}
-        self._nfa_cache: dict = {}
+        self._compiled: dict = {}
 
-    def _nfa(self, regex, graph, direction: str):
-        # Keyed on (expression, access direction, graph version) — never on
-        # ``id(graph)``: a garbage-collected graph can recycle its id and
-        # resurrect a stale automaton compiled over a different alphabet.
-        key = (regex, direction, graph.version)
-        if key not in self._nfa_cache:
-            self._nfa_cache[key] = compile_for_graph(regex, graph, stats=self.stats)
-        return self._nfa_cache[key]
+    def _compile(self, regex):
+        if regex not in self._compiled:
+            self._compiled[regex] = kernel.compile_query(
+                regex, self.graph, stats=self.stats
+            )
+        return self._compiled[regex]
 
     def forward(self, regex, source: ObjectId) -> set[ObjectId]:
         key = (regex, source)
         if key not in self._forward:
-            self._forward[key] = reachable_by_rpq(
-                self._nfa(regex, self.graph, "forward"),
+            self._forward[key] = kernel.reachable(
+                self._compile(regex),
                 self.graph,
                 source,
                 stats=self.stats,
@@ -73,19 +71,17 @@ class _AtomAccess:
         return self._forward[key]
 
     def backward(self, regex, target: ObjectId) -> set[ObjectId]:
+        # The reversed expression walked over incoming edges from the bound
+        # target: the sources of ``[[R]]_G`` ending there.
         key = (regex, target)
         if key not in self._backward:
-            if self.reversed_graph is None:
-                # One reversed copy per graph version, shared across every
-                # evaluation (and every batch worker).
-                self.reversed_graph = get_reversed(self.graph, self.stats)
-            reversed_regex = regex_reverse(regex)
-            self._backward[key] = reachable_by_rpq(
-                self._nfa(reversed_regex, self.reversed_graph, "backward"),
-                self.reversed_graph,
+            self._backward[key] = kernel.reachable(
+                self._compile(regex_reverse(regex)),
+                self.graph,
                 target,
                 stats=self.stats,
                 budget=self.budget,
+                backward=True,
             )
         return self._backward[key]
 

@@ -1262,7 +1262,7 @@ class DistributedAtomAccess:
     :class:`repro.crpq.evaluation._AtomAccess`: ``forward`` scatters from
     the bound node, ``full`` runs the broadcast sweep (or a shard-local
     replica query), ``backward`` filters the memoized full relation — the
-    reversed-graph trick stays single-node-only because shards only hold
+    incoming-edge walk stays single-node-only because shards only hold
     forward-partitioned edges.  Memoized per evaluation, like the local
     access object, and budgeted via ``budget.subquery()`` (atom relations
     are intermediate results: deadline applies, the row ceiling does not).

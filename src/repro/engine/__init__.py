@@ -1,14 +1,14 @@
-"""The shared query-execution kernel (index + cache + stats).
+"""The shared query-execution kernel (snapshot + cache + stats).
 
 One optimization layer under every language frontend in the library:
 
-* :mod:`repro.engine.index` — lazy, mutation-invalidated label-indexed
-  adjacency (``label -> (src -> edge ids)``) for the consumers that need
-  edge ids: path enumeration, GQL label scans, reversed graphs;
-* :mod:`repro.engine.intern` / :mod:`repro.engine.csr` — the flat
-  int-encoded data plane: dense node/label interning (nodes in one
+* :mod:`repro.engine.intern` / :mod:`repro.engine.csr` — the one
+  per-version graph snapshot: dense node/label interning (nodes in one
   ``repr``-sorted numbering shared by every process) and label-partitioned
-  CSR adjacency in ``array('i')`` rows, the substrate of the product BFS;
+  CSR adjacency in ``array('i')`` rows, forward and reversed, with edge ids
+  alongside the forward rows and per-label counts.  The product BFS (both
+  directions), path products, GQL label scans and the cost planner all
+  read it;
 * :mod:`repro.engine.cache` — LRU compilation cache keyed on
   ``(regex AST, alphabet)`` so repeated queries skip parsing and Glushkov;
 * :mod:`repro.engine.stats` — ``EngineStats`` counters/timers threaded
@@ -46,7 +46,6 @@ from repro.engine.cache import (
 from repro.engine.cache import IntPlan
 from repro.engine.cardinality import CardinalityModel
 from repro.engine.csr import CSRGraph, get_csr
-from repro.engine.index import GraphIndex, get_index, get_reversed
 from repro.engine.intern import Interner, get_interner
 from repro.engine.kernel import (
     compile_query,
@@ -77,7 +76,6 @@ __all__ = [
     "CSRGraph",
     "DEFAULT_CACHE",
     "EngineStats",
-    "GraphIndex",
     "Histogram",
     "IntPlan",
     "Interner",
@@ -93,9 +91,7 @@ __all__ = [
     "default_jobs",
     "evaluate",
     "get_csr",
-    "get_index",
     "get_interner",
-    "get_reversed",
     "get_tracer",
     "holds",
     "reachable",

@@ -351,7 +351,7 @@ class BatchExecutor:
         #    once, up front.
         t0 = time.perf_counter()
         get_csr(graph, stats)
-        phases["index"] = time.perf_counter() - t0
+        phases["snapshot"] = time.perf_counter() - t0
 
         # 4. fan evaluation of the unique items out over the pool.  A
         #    KeyboardInterrupt (Ctrl-C mid-workload) stops the fan-out but

@@ -1,9 +1,10 @@
-"""Cardinality estimation over the label index (Section 7.1).
+"""Cardinality estimation over the CSR snapshot (Section 7.1).
 
 The paper singles out cardinality estimation for (C)RPQs as an open
 practical problem; this module is the engine's deliberately simple,
 documented answer.  All statistics come straight from the
-:class:`~repro.engine.index.GraphIndex` that evaluation will use anyway:
+:class:`~repro.engine.csr.CSRGraph` snapshot that evaluation will use
+anyway, which counts them once per graph version from its offsets:
 
 * per-label **edge counts** ``|E_a|``,
 * per-label **distinct source / target counts** (how many nodes have an
@@ -25,8 +26,8 @@ one regular expression at a time, given which endpoints are bound.
 from __future__ import annotations
 
 from repro.engine.cache import CompiledQuery
-from repro.engine.index import get_index
-from repro.graph.edge_labeled import EdgeLabeledGraph, Label
+from repro.engine.csr import get_csr
+from repro.graph.edge_labeled import EdgeLabeledGraph
 from repro.regex.ast import (
     Concat,
     Empty,
@@ -68,8 +69,10 @@ def accepts_epsilon(compiled: CompiledQuery) -> bool:
 class CardinalityModel:
     """Per-label statistics of one graph snapshot, with RPQ estimators.
 
-    Building the model forces the label index (which evaluation needs
-    anyway), so it is effectively free on a warm engine.
+    Building the model forces the CSR snapshot (which evaluation needs
+    anyway) and reads the per-label counts it already holds, so it is
+    effectively free on a warm engine.  The three count dicts are the
+    snapshot's own and must not be mutated.
     """
 
     __slots__ = (
@@ -81,16 +84,12 @@ class CardinalityModel:
     )
 
     def __init__(self, graph: EdgeLabeledGraph, stats=None):
-        index = get_index(graph, stats)
-        self.num_nodes = max(graph.num_nodes, 1)
-        self.num_edges = max(graph.num_edges, 1)
-        self.label_counts: dict[Label, int] = {}
-        self.distinct_sources: dict[Label, int] = {}
-        self.distinct_targets: dict[Label, int] = {}
-        for label in index.labels:
-            self.label_counts[label] = len(index.edges_with_label(label))
-            self.distinct_sources[label] = len(index.out_map(label))
-            self.distinct_targets[label] = len(index.in_map(label))
+        csr = get_csr(graph, stats)
+        self.num_nodes = max(csr.num_nodes, 1)
+        self.num_edges = max(csr.num_edges, 1)
+        self.label_counts, self.distinct_sources, self.distinct_targets = (
+            csr.label_stats
+        )
 
     # ------------------------------------------------------------------
     # structural size estimate (over the regex AST)

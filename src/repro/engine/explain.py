@@ -3,7 +3,7 @@
 ``repro explain`` answers *what would the engine do* — the chosen plan with
 per-step cost and cardinality estimates, without executing anything beyond
 planning itself (which compiles automata through the LRU cache and builds
-the label index, both of which evaluation would need anyway).  ``repro
+the CSR snapshot, both of which evaluation would need anyway).  ``repro
 profile`` answers *what did it do* — it executes the query under an enabled
 :class:`~repro.engine.tracing.Tracer` and reports the span tree (wall times,
 per-atom estimated vs. actual cardinalities) together with the run's

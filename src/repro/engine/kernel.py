@@ -24,7 +24,9 @@ sources they are given:
 * :func:`_csr_reachable` — one source: a BFS with a bytearray-bitset
   visited set and an optional early-exit target.  It serves
   :func:`reachable`, :func:`holds`, and :func:`evaluate` with exactly one
-  source;
+  source.  Run ``backward`` it walks the snapshot's incoming rows instead,
+  so a reversed expression from a bound *target* yields that target's
+  sources (a backward-bound CRPQ atom) with no reversed graph;
 * :func:`_csr_sweep` — any other number of sources: the origin-tracking
   sweep, one bitmask of origins per product pair.  It serves
   :func:`evaluate` and, with a per-node ownership array and a cross-pair
@@ -160,21 +162,27 @@ def reachable(
     *,
     stats: "EngineStats | None" = None,
     budget: "QueryBudget | None" = None,
+    backward: bool = False,
 ) -> set[ObjectId]:
     """All nodes ``v`` with ``(source, v)`` in ``[[R]]_G``.
 
     One BFS over packed ``(node, state)`` codes; each automaton transition
-    out of a state reads only the CSR row of its label.
+    out of a state reads only the CSR row of its label.  With ``backward``
+    the BFS follows edges against their direction (the snapshot's
+    ``in_rows``): for the reversed expression ``R^-`` it returns every
+    ``u`` with ``(u, source)`` in ``[[R]]_G``.
     """
     tracer = get_tracer()
     if tracer.enabled:
         with tracer.span(
             "kernel.reachable", query=query_text(compiled), source=str(source)
         ) as span:
-            answers = _reachable(compiled, graph, source, stats, budget)
+            answers = _reachable(
+                compiled, graph, source, stats, budget, backward=backward
+            )
             span.set(answers=len(answers))
             return answers
-    return _reachable(compiled, graph, source, stats, budget)
+    return _reachable(compiled, graph, source, stats, budget, backward=backward)
 
 
 def _reachable(
@@ -184,6 +192,7 @@ def _reachable(
     stats: "EngineStats | None" = None,
     budget: "QueryBudget | None" = None,
     goal: "ObjectId | None" = None,
+    backward: bool = False,
 ) -> set[ObjectId]:
     """The uninstrumented BFS body (also the tracing-overhead baseline).
 
@@ -198,7 +207,7 @@ def _reachable(
     tick, check_rows = _budget_hooks(budget)
     return _csr_reachable(
         compiled, graph, source, tick, None if goal is not None else check_rows,
-        stats, budget, time.perf_counter(), goal,
+        stats, budget, time.perf_counter(), goal, backward,
     )
 
 
@@ -216,6 +225,7 @@ def _csr_reachable(
     budget: "QueryBudget | None",
     started: float,
     goal: "ObjectId | None" = None,
+    backward: bool = False,
 ) -> set[ObjectId]:
     """Single-source BFS on the flat data plane.
 
@@ -225,6 +235,8 @@ def _csr_reachable(
     node the BFS stops as soon as it reaches ``goal`` in a final state (the
     answers found so far are returned, ``goal`` among them) and a budget
     trip carries no partial answer, since the caller's answer is a boolean.
+    ``backward`` walks the incoming rows: edge ``u -a-> v`` is taken from
+    ``v`` to ``u``.
     """
     csr = get_csr(graph, stats)
     interner = csr.interner
@@ -235,7 +247,7 @@ def _csr_reachable(
     state_mask = plan.state_mask
     finals_mask = plan.finals_mask
     delta = plan.delta
-    out_rows = csr.out_rows
+    rows_by_label = csr.in_rows if backward else csr.out_rows
     fire = FAULTS.fire if FAULTS.enabled else None
     visited = bytearray(((csr.num_nodes << k) + 7) >> 3)
     queue = deque()
@@ -268,7 +280,7 @@ def _csr_reachable(
                 continue
             node = code >> k
             for label_int, next_states in rows:
-                offsets, targets = out_rows[label_int]
+                offsets, targets = rows_by_label[label_int]
                 lo = offsets[node]
                 hi = offsets[node + 1]
                 if lo == hi:

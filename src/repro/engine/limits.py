@@ -280,7 +280,7 @@ class QueryBudget:
 
     def subquery(self) -> "QueryBudget":
         """A budget for an *intermediate* traversal (a CRPQ atom's RPQ, a
-        reversed-graph reachability): shares deadline and cancellation, but
+        backward reachability): shares deadline and cancellation, but
         drops ``max_rows`` — the row ceiling applies to the query's final
         answer, not to intermediate relations."""
         if self.max_rows is None:

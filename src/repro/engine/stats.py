@@ -4,8 +4,8 @@ Every evaluator that goes through the execution kernel can be handed an
 :class:`EngineStats`; it accumulates
 
 * **counters** — monotonically increasing integers (product nodes expanded,
-  product edges relaxed, compilation cache hits/misses, index builds and
-  reuses, answers produced), and
+  product edges relaxed, compilation cache hits/misses, CSR snapshot
+  builds and reuses, answers produced), and
 * **timers** — wall-clock seconds per named phase (``compile``, ``bfs``,
   ``product``, ``join``, ``match``), measured with ``perf_counter``.
 
@@ -29,10 +29,8 @@ KNOWN_COUNTERS = (
     "cache_misses",
     "parse_hits",
     "parse_misses",
-    "index_builds",
-    "index_reuses",
-    "reversed_builds",
-    "reversed_reuses",
+    "csr_builds",
+    "csr_reuses",
     "edges_scanned",
     "sweep_sources",
     "batch_queries",

@@ -163,9 +163,9 @@ def match_gql_pattern(
     graphs (otherwise :class:`InfiniteResultError` is raised when the match
     set would be infinite).
 
-    Labeled edge patterns enumerate via the engine's label index instead
-    of scanning every edge.  ``stats`` collects engine counters when
-    provided.
+    Labeled edge patterns enumerate the edge-id row of their label in the
+    graph's CSR snapshot instead of scanning every edge.  ``stats``
+    collects engine counters when provided.
     """
     if isinstance(pattern, str):
         from repro.gql.parser import parse_gql_pattern
@@ -195,9 +195,9 @@ def _match(pattern, graph, bound, stats=None) -> set[tuple[Path, Binding]]:
         if bound is not None and bound < 1:
             return results
         if pattern.label is not None:
-            from repro.engine.index import get_index
+            from repro.engine.csr import get_csr
 
-            records = get_index(graph, stats).edges_with_label(pattern.label)
+            records = get_csr(graph, stats).edges_with_label(pattern.label)
         else:
             records = (
                 (edge, *graph.endpoints(edge)) for edge in graph.iter_edges()

@@ -53,8 +53,6 @@ class EdgeLabeledGraph:
         "_labels_seen",
         "_version",
         "_journal",
-        "_engine_index",
-        "_engine_reversed",
         "_engine_csr",
     )
 
@@ -66,17 +64,16 @@ class EdgeLabeledGraph:
         self._out: dict[ObjectId, list[ObjectId]] = {}
         self._in: dict[ObjectId, list[ObjectId]] = {}
         self._labels_seen: set[Label] = set()
-        # Monotone mutation counter; derived structures (the engine's label
-        # index, in particular) record the version they were built at and
-        # rebuild when it moves.  Every mutating method must call _touch().
+        # Monotone mutation counter; the engine's one derived structure, the
+        # CSR snapshot in ``_engine_csr``, records the version it was built
+        # at and is rebuilt when it moves.  Every mutating method must call
+        # _touch().
         self._version: int = 0
         # Optional mutation sink ``(op, payload, version) -> None`` installed
         # by the storage tier (GraphStore.attach) to journal in-place
         # mutations.  ``None`` for purely in-memory graphs; mutators must
         # emit exactly one record per observable state change.
         self._journal = None
-        self._engine_index = None
-        self._engine_reversed = None
         self._engine_csr = None
 
     # ------------------------------------------------------------------
@@ -90,8 +87,6 @@ class EdgeLabeledGraph:
     def _touch(self) -> None:
         """Record a mutation, invalidating any cached derived structure."""
         self._version += 1
-        self._engine_index = None
-        self._engine_reversed = None
         self._engine_csr = None
 
     def attach_journal(self, sink) -> None:
@@ -174,8 +169,8 @@ class EdgeLabeledGraph:
     ) -> Iterator[tuple[ObjectId, ObjectId, ObjectId, Label]]:
         """Iterate ``(edge, src, tgt, label)`` records in one dict traversal.
 
-        The engine's label index and the pattern evaluators use this instead
-        of per-edge ``endpoints``/``label`` lookups.
+        The engine's CSR snapshot build and the pattern evaluators use this
+        instead of per-edge ``endpoints``/``label`` lookups.
         """
         for edge, (src, tgt, label) in self._edges.items():
             yield (edge, src, tgt, label)

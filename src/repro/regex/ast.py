@@ -313,7 +313,7 @@ def reverse(regex: Regex) -> Regex:
     """The expression for the reversed language ``L(R)^rev``.
 
     Used to evaluate an RPQ atom whose *target* is bound: run the reversed
-    expression over the reversed graph from the bound node.
+    expression from the bound node over incoming edges (the reversed graph).
     """
     if isinstance(regex, (Empty, Epsilon, Symbol, NotSymbols)):
         return regex

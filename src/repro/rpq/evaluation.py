@@ -19,41 +19,28 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
-from repro.automata.glushkov import compile_regex
 from repro.automata.nfa import NFA
 from repro.engine import kernel
 from repro.engine.cache import CompiledQuery
 from repro.engine.stats import EngineStats
 from repro.engine.tracing import get_tracer
 from repro.graph.edge_labeled import EdgeLabeledGraph, ObjectId
-from repro.regex.ast import Regex, symbols
-from repro.regex.parser import parse_regex
-
-
-def _as_regex(query: "Regex | str") -> Regex:
-    if isinstance(query, str):
-        return parse_regex(query)
-    return query
+from repro.regex.ast import Regex
 
 
 def compile_for_graph(
     query: "Regex | str",
     graph: EdgeLabeledGraph,
     *,
-    cached: bool = True,
     stats: "EngineStats | None" = None,
 ) -> NFA:
     """Compile an RPQ over the union of the graph's and the query's labels.
 
     This instantiates Remark 11 wildcards over the graph's actual alphabet.
-    With ``cached=True`` (default) the result comes from the engine's LRU
-    compilation cache; the cache key includes the alphabet, so the same
-    wildcard expression never collides across graphs with different labels.
+    The result comes from the engine's LRU compilation cache; the cache key
+    includes the alphabet, so the same wildcard expression never collides
+    across graphs with different labels.
     """
-    if not cached:
-        regex = _as_regex(query)
-        alphabet = graph.labels | symbols(regex)
-        return compile_regex(regex, alphabet=alphabet)
     return kernel.compile_query(query, graph, stats=stats).nfa
 
 

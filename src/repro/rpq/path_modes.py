@@ -36,7 +36,6 @@ def matching_paths(
     mode: str = "shortest",
     limit: int | None = None,
     *,
-    use_index: bool = True,
     stats=None,
     budget=None,
 ) -> Iterator[Path]:
@@ -46,10 +45,6 @@ def matching_paths(
     The same graph path can be witnessed by several automaton runs; results
     are deduplicated, so ambiguity of the expression never duplicates paths
     (the set semantics the paper advocates).
-
-    ``use_index=False`` replays the seed pipeline (fresh compilation, linear
-    edge scans while building the product); both settings enumerate the
-    same paths in the same order, which the differential tests assert.
 
     ``budget`` (a :class:`repro.engine.limits.QueryBudget`) is checked
     between extension steps of the search — essential for ``simple`` and
@@ -65,11 +60,17 @@ def matching_paths(
     if hasattr(query, "initial"):
         nfa = query
     else:
-        nfa = compile_for_graph(query, graph, cached=use_index, stats=stats)
+        nfa = compile_for_graph(query, graph, stats=stats)
     product = build_product(
-        graph, nfa, sources=[source], targets=[target], use_index=use_index,
-        stats=stats, budget=budget,
+        graph, nfa, sources=[source], targets=[target], stats=stats, budget=budget,
     ).trim()
+    yield from product_paths(product, mode, limit, budget)
+
+
+def product_paths(
+    product: ProductGraph, mode: str, limit: int | None = None, budget=None
+) -> Iterator[Path]:
+    """The projected paths of a trimmed single-pair product under ``mode``."""
     if not product.targets:
         return
     if mode == "shortest":

@@ -23,6 +23,7 @@ import time
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
+from repro.engine.csr import get_csr
 from repro.graph.edge_labeled import EdgeLabeledGraph, ObjectId
 from repro.graph.paths import Path
 from repro.automata.nfa import NFA, StateType
@@ -138,7 +139,6 @@ def build_product(
     sources: Iterable[ObjectId] | None = None,
     targets: Iterable[ObjectId] | None = None,
     *,
-    use_index: bool = True,
     stats=None,
     budget=None,
 ) -> ProductGraph:
@@ -149,28 +149,30 @@ def build_product(
     reachable from the sources is materialized, which keeps the common
     single-source case small.
 
-    With ``use_index=True`` (default) the traversal looks up successor edges
-    in the engine's label index; ``use_index=False`` keeps the seed's linear
-    ``out_edges`` scan.  Both build the *same* product graph (possibly in a
-    different edge insertion order).  A ``budget`` is ticked once per
-    expanded product node (materialization is polynomial, but on a large
-    graph it can dominate a timed-out query's wall clock).
+    Successor edges come from the graph's CSR snapshot: per transition
+    label, the node's slice of the label's target row and its parallel
+    edge-id row.  A ``budget`` is ticked once per expanded product node
+    (materialization is polynomial, but on a large graph it can dominate a
+    timed-out query's wall clock).
     """
     started = time.perf_counter()
     tick = budget.tick if budget is not None else None
     source_nodes = set(sources) if sources is not None else set(graph.iter_nodes())
     target_nodes = set(targets) if targets is not None else set(graph.iter_nodes())
 
-    # Index automaton transitions state-major for fast joint traversal.
-    by_state: dict = {}
-    for state_from, symbol, state_to in nfa.transitions():
-        by_state.setdefault(state_from, {}).setdefault(symbol, []).append(state_to)
-
-    index = None
-    if use_index:
-        from repro.engine.index import get_index
-
-        index = get_index(graph, stats)
+    csr = get_csr(graph, stats)
+    node_ids = csr.interner._node_ids
+    nodes = csr.interner.nodes
+    label_ids = csr.interner._label_ids
+    # Automaton transitions state-major, each label resolved to its rows:
+    # state -> [(label, offsets, targets, edge ids, next states), ...].
+    moves_by_state: dict = {}
+    for (state, label), next_states in nfa._delta.items():
+        if label in label_ids:
+            label_int = label_ids[label]
+            moves_by_state.setdefault(state, []).append(
+                (label, *csr.out_rows[label_int], csr.edge_rows[label_int], next_states)
+            )
 
     product = EdgeLabeledGraph()
     start_pairs = {
@@ -190,32 +192,24 @@ def build_product(
             tick()
         node, state = frontier.pop()
         expanded += 1
-        by_symbol = by_state.get(state)
-        if not by_symbol:
+        moves = moves_by_state.get(state)
+        if not moves:
             continue
-        if index is not None:
-            moves = (
-                (edge, label, target, next_state)
-                for label, next_states in by_symbol.items()
-                for edge, target in index.out_edges(node, label)
-                for next_state in next_states
-            )
-        else:
-            moves = (
-                (edge, graph.label(edge), graph.tgt(edge), next_state)
-                for edge in graph.out_edges(node)
-                for next_state in by_symbol.get(graph.label(edge), ())
-            )
-        for edge, label, target, next_state in moves:
-            relaxed += 1
-            next_pair = (target, next_state)
-            product_edge = (edge, (state, label, next_state))
-            if next_pair not in seen:
-                seen.add(next_pair)
-                product.add_node(next_pair)
-                frontier.append(next_pair)
-            if not product.has_edge(product_edge):
-                product.add_edge(product_edge, (node, state), next_pair, label)
+        node_int = node_ids[node]
+        for label, offsets, targets, edge_ids, next_states in moves:
+            for at in range(offsets[node_int], offsets[node_int + 1]):
+                edge = edge_ids[at]
+                target = nodes[targets[at]]
+                for next_state in next_states:
+                    relaxed += 1
+                    next_pair = (target, next_state)
+                    product_edge = (edge, (state, label, next_state))
+                    if next_pair not in seen:
+                        seen.add(next_pair)
+                        product.add_node(next_pair)
+                        frontier.append(next_pair)
+                    if not product.has_edge(product_edge):
+                        product.add_edge(product_edge, (node, state), next_pair, label)
     accepting = frozenset(
         (node, state)
         for (node, state) in seen

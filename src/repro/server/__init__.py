@@ -1,6 +1,6 @@
 """The resident query service (DESIGN.md §8).
 
-Everything the engine amortizes *within* a process — the label index, the
+Everything the engine amortizes *within* a process — the CSR snapshot, the
 compile cache, the metrics registry — was still being rebuilt per CLI
 invocation.  This package keeps them resident behind a small asyncio
 service:

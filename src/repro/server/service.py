@@ -2,7 +2,7 @@
 
 This is where the per-process amortization the engine built in PRs 1-3
 finally outlives a single query: the :class:`GraphCatalog` keeps named
-graphs (and therefore their lazily-built label indexes) alive across
+graphs (and therefore their lazily-built CSR snapshots) alive across
 requests, the process-wide compile cache stays warm, and the
 :class:`AnswerCache` short-circuits repeated queries entirely.
 

@@ -1,7 +1,7 @@
 """Shared-state concurrency tests: the engine under a worker pool.
 
 The query service executes requests on a thread pool against process-wide
-state — the compile cache, the per-graph label index, the kernel.  These
+state — the compile cache, the per-graph CSR snapshot, the kernel.  These
 tests hammer that state from many threads and assert (a) no exceptions or
 corruption and (b) answers identical to single-threaded evaluation.
 """
@@ -11,7 +11,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 from repro.engine.batch import BatchExecutor
 from repro.engine.cache import CompilationCache
-from repro.engine.index import get_index
+from repro.engine.csr import get_csr
 from repro.engine.kernel import compile_query, evaluate
 from repro.graph.datasets import figure2_graph
 
@@ -76,25 +76,30 @@ class TestCompilationCacheThreadSafety:
 
 class TestIndexThreadSafety:
     def test_concurrent_index_access_single_version(self):
-        """Many threads asking for the index of an unmutated graph all see
-        the same version with the full edge set."""
+        """Many threads asking for the CSR snapshot of an unmutated graph
+        all see the same version with the full edge set."""
         graph = figure2_graph()
         seen = []
         lock = threading.Lock()
 
         def worker():
-            index = get_index(graph)
+            csr = get_csr(graph)
             with lock:
-                seen.append((index.version, index.num_edges, index.labels))
+                seen.append((
+                    csr.version,
+                    csr.num_edges,
+                    sum(len(edges) for edges in csr.edge_rows),
+                    frozenset(csr.label_stats[0]),
+                ))
 
         with ThreadPoolExecutor(max_workers=16) as pool:
             futures = [pool.submit(worker) for _ in range(32)]
             for future in futures:
                 future.result()
         assert len(set(seen)) == 1
-        version, num_edges, labels = seen[0]
+        version, num_edges, edge_ids, labels = seen[0]
         assert version == graph.version
-        assert num_edges == graph.num_edges
+        assert num_edges == edge_ids == graph.num_edges
         assert labels == graph.labels
 
 

@@ -16,8 +16,8 @@ pits the two against each other for:
 * ``rpq_holds`` (single-pair decision, the early-exit BFS), also against
   membership in ``reachable_by_rpq``'s answer,
 * ``matching_paths`` under shortest / trail / simple modes (sequence
-  equality — same paths in the same order; the path enumerator keeps its
-  own ``use_index=False`` linear-scan path),
+  equality — same paths in the same order — against the oracle's
+  linear-scan product builder),
 * ``evaluate_crpq`` / ``evaluate_crpq_bindings`` (joins of RPQ relations),
 * the cost-based planner vs the greedy planner vs the naive oracle — plans
   may differ, answer sets must not,
@@ -160,14 +160,12 @@ def test_holds_agrees_with_reachable(graph, regex, source):
     source=st.integers(0, 3),
     target=st.integers(0, 3),
 )
-def test_path_modes_indexed_equals_naive(graph, regex, source, target):
+def test_path_modes_csr_product_equals_naive(graph, regex, source, target):
     src, tgt = f"v{source}", f"v{target}"
     for mode in ("shortest", "trail", "simple"):
-        fast = list(
-            matching_paths(regex, graph, src, tgt, mode=mode, limit=25, use_index=True)
-        )
+        fast = list(matching_paths(regex, graph, src, tgt, mode=mode, limit=25))
         oracle = list(
-            matching_paths(regex, graph, src, tgt, mode=mode, limit=25, use_index=False)
+            oracles.matching_paths(regex, graph, src, tgt, mode=mode, limit=25)
         )
         assert fast == oracle, mode
 

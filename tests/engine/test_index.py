@@ -1,8 +1,11 @@
-"""Unit tests for the label-indexed adjacency (repro.engine.index)."""
+"""Unit tests for the per-version adjacency snapshot (repro.engine.csr).
 
-import pytest
+The CSR snapshot is the engine's one label-indexed adjacency: forward rows
+with their edge ids, reversed rows, and per-label counts, cached on the
+graph and rebuilt when its version moves.
+"""
 
-from repro.engine.index import GraphIndex, get_index
+from repro.engine.csr import CSRGraph, get_csr
 from repro.engine.stats import EngineStats
 from repro.graph.edge_labeled import EdgeLabeledGraph
 from repro.graph.generators import random_graph
@@ -19,68 +22,96 @@ def small_graph() -> EdgeLabeledGraph:
     return graph
 
 
+def out_edges(csr: CSRGraph, node, label) -> list:
+    """``[(edge, tgt), ...]`` for edges ``node --label--> tgt``, as objects."""
+    node_int = csr.interner.node_id(node)
+    label_int = csr.interner.label_id(label)
+    if node_int is None or label_int is None:
+        return []
+    offsets, targets = csr.out_rows[label_int]
+    edge_row = csr.edge_rows[label_int]
+    return [
+        (edge_row[at], csr.interner.node(targets[at]))
+        for at in range(offsets[node_int], offsets[node_int + 1])
+    ]
+
+
+def in_sources(csr: CSRGraph, node, label) -> list:
+    """Source nodes of edges ``src --label--> node`` (with multiplicity)."""
+    node_int = csr.interner.node_id(node)
+    label_int = csr.interner.label_id(label)
+    if node_int is None or label_int is None:
+        return []
+    return [csr.interner.node(s) for s in csr.in_sources(node_int, label_int)]
+
+
 class TestLookups:
     def test_out_edges_by_label(self):
-        index = get_index(small_graph())
-        assert set(index.out_edges("u", "a")) == {("e1", "v"), ("e4", "w")}
-        assert set(index.out_edges("u", "b")) == {("e2", "v")}
-        assert index.out_edges("u", "zzz") == ()
-        assert index.out_edges("w", "a") == ()
-        assert index.out_edges("not-a-node", "a") == ()
+        csr = get_csr(small_graph())
+        assert set(out_edges(csr, "u", "a")) == {("e1", "v"), ("e4", "w")}
+        assert out_edges(csr, "u", "b") == [("e2", "v")]
+        assert out_edges(csr, "u", "zzz") == []
+        assert out_edges(csr, "w", "a") == []
+        assert out_edges(csr, "not-a-node", "a") == []
 
     def test_in_edges_by_label(self):
-        index = get_index(small_graph())
-        assert set(index.in_edges("w", "a")) == {("e3", "v"), ("e4", "u")}
-        assert index.in_edges("u", "a") == ()
+        csr = get_csr(small_graph())
+        assert sorted(in_sources(csr, "w", "a")) == ["u", "v"]
+        assert in_sources(csr, "u", "a") == []
 
     def test_edges_with_label(self):
-        index = get_index(small_graph())
-        assert set(index.edges_with_label("a")) == {
+        csr = get_csr(small_graph())
+        assert set(csr.edges_with_label("a")) == {
             ("e1", "u", "v"),
             ("e3", "v", "w"),
             ("e4", "u", "w"),
         }
-        assert index.edges_with_label("nope") == ()
+        assert list(csr.edges_with_label("nope")) == []
 
     def test_labels(self):
-        assert get_index(small_graph()).labels == frozenset({"a", "b"})
+        csr = get_csr(small_graph())
+        assert set(csr.interner.labels) == {"a", "b"}
+        edges, sources, targets = csr.label_stats
+        assert edges == {"a": 3, "b": 1}
+        assert sources == {"a": 2, "b": 1}
+        assert targets == {"a": 2, "b": 1}
 
     def test_agrees_with_linear_scan_on_random_graph(self):
         graph = random_graph(30, 120, labels=("a", "b", "c"), seed=3)
-        index = get_index(graph)
+        csr = get_csr(graph)
         for node in graph.iter_nodes():
             for label in graph.labels:
-                expected = {
+                expected = [
                     (edge, graph.tgt(edge)) for edge in graph.out_edges(node, label)
-                }
-                assert set(index.out_edges(node, label)) == expected
+                ]
+                assert out_edges(csr, node, label) == expected
 
 
 class TestCachingAndInvalidation:
     def test_index_is_reused_while_graph_unchanged(self):
         graph = small_graph()
         stats = EngineStats()
-        first = get_index(graph, stats)
-        second = get_index(graph, stats)
+        first = get_csr(graph, stats)
+        second = get_csr(graph, stats)
         assert first is second
-        assert stats.get("index_builds") == 1
-        assert stats.get("index_reuses") == 1
+        assert stats.get("csr_builds") == 1
+        assert stats.get("csr_reuses") == 1
 
     def test_add_edge_invalidates(self):
         graph = small_graph()
-        index = get_index(graph)
+        csr = get_csr(graph)
         graph.add_edge("e5", "w", "x", "b")
-        rebuilt = get_index(graph)
-        assert rebuilt is not index
-        assert set(rebuilt.out_edges("w", "b")) == {("e5", "x")}
+        rebuilt = get_csr(graph)
+        assert rebuilt is not csr
+        assert out_edges(rebuilt, "w", "b") == [("e5", "x")]
 
     def test_add_node_invalidates(self):
         graph = small_graph()
         before = graph.version
-        index = get_index(graph)
+        csr = get_csr(graph)
         graph.add_node("lonely")
         assert graph.version > before
-        assert get_index(graph) is not index
+        assert get_csr(graph) is not csr
 
     def test_version_is_monotone(self):
         graph = EdgeLabeledGraph()
@@ -104,9 +135,9 @@ class TestCachingAndInvalidation:
 
     def test_snapshot_matches_build_version(self):
         graph = small_graph()
-        index = GraphIndex(graph)
-        assert index.version == graph.version
-        assert index.num_edges == graph.num_edges
+        csr = CSRGraph(graph)
+        assert csr.version == graph.version
+        assert csr.num_edges == graph.num_edges
 
 
 class TestPropertyGraphInvalidation:
@@ -142,40 +173,40 @@ class TestPropertyGraphInvalidation:
     def test_index_rebuilt_after_property_mutation(self):
         graph = PropertyGraph()
         graph.add_edge("t", "u", "v", "Transfer")
-        index = get_index(graph)
+        csr = get_csr(graph)
         graph.set_property("t", "amount", 100)
-        assert get_index(graph) is not index
+        assert get_csr(graph) is not csr
 
 
 class TestReversedCache:
-    def test_reversed_cached_per_version(self):
-        from repro.engine.index import get_reversed
+    """Backward traversal reads the reversed rows of the same snapshot."""
 
+    def test_reversed_cached_per_version(self):
         graph = EdgeLabeledGraph()
         graph.add_edge("e0", "u", "v", "a")
-        flipped = get_reversed(graph)
-        assert flipped.src("e0") == "v" and flipped.tgt("e0") == "u"
-        assert get_reversed(graph) is flipped
+        csr = get_csr(graph)
+        assert in_sources(csr, "v", "a") == ["u"]
+        assert in_sources(csr, "u", "a") == []
+        assert get_csr(graph) is csr
 
     def test_reversed_invalidated_on_mutation(self):
-        from repro.engine.index import get_reversed
-
         graph = EdgeLabeledGraph()
         graph.add_edge("e0", "u", "v", "a")
-        flipped = get_reversed(graph)
+        csr = get_csr(graph)
         graph.add_edge("e1", "v", "w", "b")
-        rebuilt = get_reversed(graph)
-        assert rebuilt is not flipped
-        assert rebuilt.src("e1") == "w"
+        rebuilt = get_csr(graph)
+        assert rebuilt is not csr
+        assert in_sources(rebuilt, "w", "b") == ["v"]
 
     def test_reversed_counters(self):
-        from repro.engine.index import get_reversed
-        from repro.engine.stats import EngineStats
+        """A backward-bound atom builds the snapshot once and nothing else."""
+        from repro.crpq.evaluation import evaluate_crpq
 
         graph = EdgeLabeledGraph()
         graph.add_edge("e0", "u", "v", "a")
         stats = EngineStats()
-        get_reversed(graph, stats)
-        get_reversed(graph, stats)
-        assert stats.get("reversed_builds") == 1
-        assert stats.get("reversed_reuses") == 1
+        assert evaluate_crpq('q(x) :- a(x, "v")', graph, stats=stats) == {("u",)}
+        assert evaluate_crpq('q(x) :- a(x, "v")', graph, stats=stats) == {("u",)}
+        assert stats.get("csr_builds") == 1
+        assert not [name for name in stats.counters if name.endswith("_builds")
+                    and name != "csr_builds"]

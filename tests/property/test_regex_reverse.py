@@ -8,13 +8,15 @@ bound) rests on two facts this module locks in with hypothesis:
    raw ASTs, at least the same *language*.
 2. Reachability of the reversed expression over the reversed graph from a
    target ``t`` is exactly ``{s | (s, t) in [[R]]_G}`` — so the planner may
-   freely choose forward or backward access without changing answers.
+   freely choose forward or backward access without changing answers.  The
+   kernel walks the reversed graph as the incoming rows of the one CSR
+   snapshot; the oracle builds ``graph.reversed_copy()``.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine.index import get_reversed
+from repro.engine.kernel import compile_query, reachable
 from repro.graph.edge_labeled import EdgeLabeledGraph
 from repro.regex.ast import (
     Concat,
@@ -26,7 +28,7 @@ from repro.regex.ast import (
     Union,
 )
 from repro.regex.ast import reverse as regex_reverse
-from repro.rpq.evaluation import evaluate_rpq, reachable_by_rpq
+from repro.rpq.evaluation import evaluate_rpq
 from tests import oracles
 
 LABELS = "abc"
@@ -99,7 +101,7 @@ def test_reverse_swaps_answer_pairs(graph, regex):
 
 
 # ----------------------------------------------------------------------
-# backward reachability over the (engine-cached) reversed graph
+# backward reachability over the snapshot's incoming rows
 # ----------------------------------------------------------------------
 @settings(max_examples=80, deadline=None)
 @given(graph=graphs(), regex=regexes(), target=st.integers(0, 4))
@@ -107,8 +109,12 @@ def test_backward_reachability_equals_forward(graph, regex, target):
     node = f"v{target}"
     if not graph.has_node(node):
         return
-    flipped = get_reversed(graph)
-    assert flipped is get_reversed(graph), "reversed copy must be cached"
-    sources = reachable_by_rpq(regex_reverse(regex), flipped, node)
+    reversed_regex = regex_reverse(regex)
+    sources = reachable(
+        compile_query(reversed_regex, graph), graph, node, backward=True
+    )
+    assert {(node, source) for source in sources} == oracles.evaluate(
+        reversed_regex, graph.reversed_copy(), [node]
+    )
     forward = oracles.evaluate(regex, graph)
     assert sources == {source for source, tgt in forward if tgt == node}
